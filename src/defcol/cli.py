@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .cnf import export_cnf
 from .coloring import ConstraintSet, SolveOutcome, brute_force_oracle, solve
-from .discharging import RULESETS, ALL_VALIDATORS, build_audit
+from .discharging import RULESETS, ALL_VALIDATORS, analyze, build_audit
 from .embedding import dump_embedding, load_embedding
 from .gadgets import GadgetResult, hub_gadget, non_1k, np_reduce, triangle_link
 from .graphs import (
@@ -28,7 +28,6 @@ from .graphs import (
 )
 
 EXIT_SAT = 0
-EXIT_OK = 0
 EXIT_UNSAT = 10
 EXIT_BUDGET = 20
 EXIT_ERROR = 2
@@ -67,10 +66,10 @@ def _parse_spec(text: str) -> tuple[int, ...]:
 
 
 def _resolve_vertex(g: Graph, token: str):
-    labels = g.labels
-    for v, name in labels.items():
-        if name == token:
-            return v
+    try:
+        return g.vertex_by_label(token)
+    except KeyError:
+        pass
     try:
         index = int(token)
     except ValueError:
@@ -112,7 +111,14 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _outcome_exit(outcome: SolveOutcome) -> int:
+def _emit_outcome(g: Graph, outcome: SolveOutcome, budget: int | None) -> int:
+    _emit({
+        "format": "defcol-solve v1",
+        "outcome": outcome.status,
+        "coloring": _coloring_json(g, outcome.coloring),
+        "nodes": outcome.nodes,
+        "budget": budget,
+    })
     if outcome.is_sat:
         return EXIT_SAT
     if outcome.is_unsat:
@@ -129,7 +135,7 @@ def _cmd_solve(args) -> int:
         Path(args.emit_cnf).write_text(doc.to_dimacs())
         _emit({"format": "defcol-solve v1", "cnf": args.emit_cnf,
                "vars": doc.num_vars, "clauses": len(doc.clauses)})
-        return EXIT_OK
+        return EXIT_SAT
     budget = args.budget
     if budget is None:
         if g.vertex_count > BUDGET_FREE_LIMIT:
@@ -137,30 +143,14 @@ def _cmd_solve(args) -> int:
                 f"instances above {BUDGET_FREE_LIMIT} vertices require --budget"
             )
         budget = DEFAULT_SMALL_BUDGET
-    outcome = solve(g, spec, cons, budget=budget)
-    _emit({
-        "format": "defcol-solve v1",
-        "outcome": outcome.status,
-        "coloring": _coloring_json(g, outcome.coloring),
-        "nodes": outcome.nodes,
-        "budget": budget,
-    })
-    return _outcome_exit(outcome)
+    return _emit_outcome(g, solve(g, spec, cons, budget=budget), budget)
 
 
 def _cmd_oracle(args) -> int:
     g = _load_graph_arg(args)
     spec = _parse_spec(args.spec)
     cons = _constraints(g, args)
-    outcome = brute_force_oracle(g, spec, cons)
-    _emit({
-        "format": "defcol-solve v1",
-        "outcome": outcome.status,
-        "coloring": _coloring_json(g, outcome.coloring),
-        "nodes": outcome.nodes,
-        "budget": None,
-    })
-    return _outcome_exit(outcome)
+    return _emit_outcome(g, brute_force_oracle(g, spec, cons), None)
 
 
 def _write_gadget(result: GadgetResult, prefix: str) -> dict:
@@ -190,46 +180,34 @@ def _cmd_gadget(args) -> int:
     else:
         result = non_1k(args.k)
     _emit(_write_gadget(result, args.out))
-    return EXIT_OK
+    return EXIT_SAT
 
 
 def _cmd_reduce(args) -> int:
     g = load_graph(_read(args.graph))
     result = np_reduce(g, args.k)
     _emit(_write_gadget(result, args.out))
-    return EXIT_OK
+    return EXIT_SAT
 
 
 def _cmd_check(args) -> int:
+    doc = {"format": "defcol-check v1", "kind": args.kind}
     if args.kind == "lemmas":
         if not args.embedding:
             raise CliError("check lemmas requires --embedding")
-        emb = load_embedding(_read(args.embedding))
-        reports = [v(emb) for v in ALL_VALIDATORS]
-        _emit({
-            "format": "defcol-check v1",
-            "kind": "lemmas",
-            "reports": {r.name: r.to_json() for r in reports},
-        })
-        return EXIT_OK
-    g = _load_graph_arg(args)
-    if args.kind == "girth":
-        value = girth(g)
-        _emit({
-            "format": "defcol-check v1",
-            "kind": "girth",
-            "girth": "infinite" if value == float("inf") else value,
-        })
-        return EXIT_OK
-    free = is_c4c5_free(g)
-    _emit({
-        "format": "defcol-check v1",
-        "kind": "c4c5",
-        "c4c5_free": free,
-        "cycles4": len(cycles_of_length(g, 4)),
-        "cycles5": len(cycles_of_length(g, 5)),
-    })
-    return EXIT_OK
+        analysis = analyze(load_embedding(_read(args.embedding)))
+        reports = [v(analysis) for v in ALL_VALIDATORS]
+        doc["reports"] = {r.name: r.to_json() for r in reports}
+    elif args.kind == "girth":
+        value = girth(_load_graph_arg(args))
+        doc["girth"] = "infinite" if value == float("inf") else value
+    else:
+        g = _load_graph_arg(args)
+        doc["c4c5_free"] = is_c4c5_free(g)
+        doc["cycles4"] = len(cycles_of_length(g, 4))
+        doc["cycles5"] = len(cycles_of_length(g, 5))
+    _emit(doc)
+    return EXIT_SAT
 
 
 def _cmd_audit(args) -> int:
@@ -241,7 +219,7 @@ def _cmd_audit(args) -> int:
         _emit({"format": "defcol-audit v1", "written": args.out})
     else:
         _emit(doc)
-    return EXIT_OK
+    return EXIT_SAT
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,12 +18,14 @@ Classification vocabulary:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
 
-from .embedding import Face, PlaneEmbedding, trace_faces
-from .graphs import Graph, Vertex, is_c4c5_free, is_connected
+from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
+from .graphs import Graph, Vertex, is_c4c5_free
 
 ElementKey = tuple[str, object]  # ("v", vertex id) or ("f", face index)
 
@@ -53,6 +55,7 @@ class StructureTags:
     face_degree: tuple[int, ...]
     face_walk_vertices: tuple[tuple[Vertex, ...], ...]
     face_signature: tuple[tuple[int, ...], ...]
+    corners: dict[Vertex, tuple[int, ...]]
     three_faces: tuple[int, ...]
     bad_two_vertices: frozenset[Vertex]
     good_two_vertices: frozenset[Vertex]
@@ -164,20 +167,66 @@ RULESETS: dict[str, DischargeRuleSet] = {
 }
 
 
-def _require_euler(emb: PlaneEmbedding) -> list[Face]:
-    g = emb.graph
-    if not is_connected(g):
-        raise ValueError("embedding graph must be connected")
-    faces = trace_faces(emb)
-    if g.vertex_count - g.edge_count + len(faces) != 2:
-        raise ValueError("embedding fails the Euler check (not genus zero)")
-    return faces
+# classify's error per certify_faces defect; the validators report the defect
+_CLASSIFY_ERRORS = {
+    DISCONNECTED: "embedding graph must be connected",
+    NOT_GENUS_ZERO: "embedding fails the Euler check (not genus zero)",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddingAnalysis:
+    """The structure of one embedding, computed once and shared by the rules,
+    the validators and the audit. Build it with `analyze`.
+
+    The c4c5 scan and the boundary edge multisets are computed on first use,
+    so classifying or applying rules never pays for them.
+    """
+
+    emb: PlaneEmbedding
+    defect: str | None  # from certify_faces; None when Euler-certified
+    classified: StructureTags | None
+
+    @property
+    def tags(self) -> StructureTags:
+        if self.defect is not None:
+            raise ValueError(_CLASSIFY_ERRORS[self.defect])
+        return self.classified
+
+    @cached_property
+    def validator_reason(self) -> str | None:
+        """Why the validators cannot judge this embedding, or None."""
+        if self.defect is not None:
+            return self.defect
+        if not is_c4c5_free(self.emb.graph):
+            return "graph contains a 4-cycle or 5-cycle"
+        return None
+
+    @cached_property
+    def boundaries(self) -> tuple[Counter, ...]:
+        return tuple(f.edge_multiset() for f in self.classified.faces)
+
+    def coincident(self, i: int, j: int) -> bool:
+        """True when two distinct faces have the same boundary edges."""
+        return i != j and self.boundaries[i] == self.boundaries[j]
+
+
+def analyze(source: PlaneEmbedding | EmbeddingAnalysis) -> EmbeddingAnalysis:
+    """Trace, certify and classify an embedding once; an analysis passes
+    through unchanged."""
+    if isinstance(source, EmbeddingAnalysis):
+        return source
+    faces, defect = certify_faces(source)
+    tags = None if defect else _classify(source.graph, faces)
+    return EmbeddingAnalysis(source, defect, tags)
 
 
 def classify(emb: PlaneEmbedding) -> StructureTags:
     """Tag every vertex and face of an Euler-certified embedding."""
-    faces = _require_euler(emb)
-    g = emb.graph
+    return analyze(emb).tags
+
+
+def _classify(g: Graph, faces: list[Face]) -> StructureTags:
     degree = {v: g.degree(v) for v in g.vertices}
     face_degree = tuple(f.degree for f in faces)
     face_walk_vertices = tuple(f.vertices() for f in faces)
@@ -186,10 +235,14 @@ def classify(emb: PlaneEmbedding) -> StructureTags:
     )
     three_faces = tuple(i for i, d in enumerate(face_degree) if d == 3)
 
-    incident_three: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
-    for i in three_faces:
-        for v in face_walk_vertices[i]:
-            incident_three[v].append(i)
+    # face index at each corner, one per walk occurrence: d entries at degree d
+    corners: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
+    for i, walk in enumerate(face_walk_vertices):
+        for v in walk:
+            corners[v].append(i)
+    incident_three = {
+        v: tuple(i for i in cs if face_degree[i] == 3) for v, cs in corners.items()
+    }
 
     bad_two = frozenset(
         v for v in g.vertices if degree[v] == 2 and incident_three[v]
@@ -224,22 +277,17 @@ def classify(emb: PlaneEmbedding) -> StructureTags:
         face_degree=face_degree,
         face_walk_vertices=face_walk_vertices,
         face_signature=face_signature,
+        corners={v: tuple(cs) for v, cs in corners.items()},
         three_faces=three_faces,
         bad_two_vertices=bad_two,
         good_two_vertices=good_two,
         bad_three_faces=bad_three,
-        incident_three_faces={v: tuple(ns) for v, ns in incident_three.items()},
+        incident_three_faces=incident_three,
         pendant_faces=pendant_faces,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
     )
-
-
-def _element_order(g: Graph, face_count: int) -> tuple[ElementKey, ...]:
-    keys: list[ElementKey] = [("v", v) for v in g.vertices]
-    keys.extend(("f", i) for i in range(face_count))
-    return tuple(keys)
 
 
 def initial_charges(emb: PlaneEmbedding, tags: StructureTags | None = None) -> ChargeLedger:
@@ -252,7 +300,7 @@ def initial_charges(emb: PlaneEmbedding, tags: StructureTags | None = None) -> C
         charges[("v", v)] = Fraction(2 * tags.degree[v] - 6)
     for i, d in enumerate(tags.face_degree):
         charges[("f", i)] = Fraction(d - 6)
-    return ChargeLedger(_element_order(g, len(tags.faces)), charges)
+    return ChargeLedger(tuple(charges), charges)  # vertices, then faces
 
 
 def _rule_transfers(g: Graph, tags: StructureTags, rule: Rule) -> Iterable[Transfer]:
@@ -292,16 +340,17 @@ def _rule_transfers(g: Graph, tags: StructureTags, rule: Rule) -> Iterable[Trans
 
 
 def apply_ruleset(
-    emb: PlaneEmbedding, ruleset: DischargeRuleSet
+    source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRuleSet
 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run every rule against the initial classification; returns the final
     ledger and the complete transfer log in deterministic order."""
-    tags = classify(emb)
-    initial = initial_charges(emb, tags)
+    analysis = analyze(source)
+    tags = analysis.tags
+    initial = initial_charges(analysis.emb, tags)
     charges = dict(initial.charges)
     log: list[Transfer] = []
     for rule in ruleset.rules:
-        for t in _rule_transfers(emb.graph, tags, rule):
+        for t in _rule_transfers(analysis.emb.graph, tags, rule):
             charges[t.source] -= t.amount
             charges[t.target] += t.amount
             log.append(t)
@@ -353,111 +402,83 @@ class ValidationReport:
         }
 
 
-def _combine(name: str, items: list[ValidationItem]) -> ValidationReport:
-    status = PASS
-    if any(i.status == DEGENERATE for i in items):
-        status = DEGENERATE
-    if any(i.status == FAIL for i in items):
-        status = FAIL
-    return ValidationReport(name, status, tuple(items))
+def _validator(name: str):
+    """Make a validator from a judge that yields one item per element of a
+    certified, c4c5-free analysis. The validator takes an embedding or its
+    analysis and reports an input it cannot judge as degenerate."""
+
+    def wrap(judge):
+        def validator(source: PlaneEmbedding | EmbeddingAnalysis) -> ValidationReport:
+            analysis = analyze(source)
+            if analysis.validator_reason:
+                return ValidationReport(name, DEGENERATE, (), analysis.validator_reason)
+            items = tuple(judge(analysis, analysis.tags))
+            status = PASS
+            if any(i.status == DEGENERATE for i in items):
+                status = DEGENERATE
+            if any(i.status == FAIL for i in items):
+                status = FAIL
+            return ValidationReport(name, status, items)
+
+        validator.__name__ = validator.__qualname__ = judge.__name__
+        validator.__doc__ = judge.__doc__
+        return validator
+
+    return wrap
 
 
-def _validator_precondition(emb: PlaneEmbedding) -> str | None:
-    g = emb.graph
-    if not is_connected(g):
-        return "graph is disconnected"
-    faces = trace_faces(emb)
-    if g.vertex_count - g.edge_count + len(faces) != 2:
-        return "embedding fails the Euler check"
-    if not is_c4c5_free(g):
-        return "graph contains a 4-cycle or 5-cycle"
-    return None
-
-
-def _face_corners(tags: StructureTags, v: Vertex) -> list[int]:
-    """Face indices at each corner of v, one per occurrence, so a vertex of
-    degree d appears in exactly d entries."""
-    corners = []
-    for i, walk in enumerate(tags.face_walk_vertices):
-        corners.extend(i for u in walk if u == v)
-    return corners
-
-
-def _coincident_boundaries(tags: StructureTags, i: int, j: int) -> bool:
-    return (
-        i != j
-        and tags.faces[i].edge_multiset() == tags.faces[j].edge_multiset()
-    )
-
-
-def check_bad2_face_degrees(emb: PlaneEmbedding) -> ValidationReport:
+@_validator("bad2_face_degrees")
+def check_bad2_face_degrees(
+    analysis: EmbeddingAnalysis, tags: StructureTags
+) -> Iterator[ValidationItem]:
     """Every bad 2-vertex must have its non-triangle face of degree >= 7.
 
     Embeddings where the two faces at the 2-vertex coincide, or share the
     same boundary edges (a doubly-covered triangle), are flagged degenerate
     rather than judged.
     """
-    name = "bad2_face_degrees"
-    reason = _validator_precondition(emb)
-    if reason:
-        return ValidationReport(name, DEGENERATE, (), reason)
-    tags = classify(emb)
-    items = []
-    for v in emb.graph.vertices:
+    for v in analysis.emb.graph.vertices:
         if v not in tags.bad_two_vertices:
             continue
-        corners = _face_corners(tags, v)
-        f1, f2 = corners
+        f1, f2 = tags.corners[v]
         if f1 == f2:
-            items.append(
-                ValidationItem(v, DEGENERATE, {"why": "one face covers both corners"})
-            )
-            continue
-        if _coincident_boundaries(tags, f1, f2):
-            items.append(
-                ValidationItem(v, DEGENERATE, {"why": "faces share identical boundaries"})
-            )
-            continue
-        other = f2 if tags.face_degree[f1] == 3 else f1
-        d = tags.face_degree[other]
-        status = PASS if d >= 7 else FAIL
-        items.append(ValidationItem(v, status, {"other_face": other, "other_degree": d}))
-    return _combine(name, items)
+            yield ValidationItem(v, DEGENERATE, {"why": "one face covers both corners"})
+        elif analysis.coincident(f1, f2):
+            yield ValidationItem(v, DEGENERATE, {"why": "faces share identical boundaries"})
+        else:
+            other = f2 if tags.face_degree[f1] == 3 else f1
+            d = tags.face_degree[other]
+            status = PASS if d >= 7 else FAIL
+            yield ValidationItem(v, status, {"other_face": other, "other_degree": d})
 
 
-def check_big_face_bad2_capacity(emb: PlaneEmbedding) -> ValidationReport:
+@_validator("big_face_bad2_capacity")
+def check_big_face_bad2_capacity(
+    analysis: EmbeddingAnalysis, tags: StructureTags
+) -> Iterator[ValidationItem]:
     """Every simple-cycle face of degree k >= 7 carries at most k - 6
     bad-2-vertex incidences (counted with walk multiplicity).
 
     A 7+-face whose boundary walk revisits a vertex is reported degenerate:
     the bound is only supported on simple cycle boundaries.
     """
-    name = "big_face_bad2_capacity"
-    reason = _validator_precondition(emb)
-    if reason:
-        return ValidationReport(name, DEGENERATE, (), reason)
-    tags = classify(emb)
-    items = []
     for i, d in enumerate(tags.face_degree):
         if d < 7:
             continue
         walk = tags.face_walk_vertices[i]
         count = sum(1 for u in walk if u in tags.bad_two_vertices)
         if len(set(walk)) != len(walk):
-            items.append(
-                ValidationItem(
-                    i,
-                    DEGENERATE,
-                    {"why": "boundary walk revisits a vertex", "degree": d, "bad2": count},
-                )
-            )
-            continue
-        status = PASS if count <= d - 6 else FAIL
-        items.append(ValidationItem(i, status, {"degree": d, "bad2": count, "bound": d - 6}))
-    return _combine(name, items)
+            why = "boundary walk revisits a vertex"
+            yield ValidationItem(i, DEGENERATE, {"why": why, "degree": d, "bad2": count})
+        else:
+            status = PASS if count <= d - 6 else FAIL
+            yield ValidationItem(i, status, {"degree": d, "bad2": count, "bound": d - 6})
 
 
-def check_vertex_profiles(emb: PlaneEmbedding) -> ValidationReport:
+@_validator("vertex_profiles")
+def check_vertex_profiles(
+    analysis: EmbeddingAnalysis, tags: StructureTags
+) -> Iterator[ValidationItem]:
     """Per vertex: alpha <= floor(d/2) and 2*alpha + beta + gamma <= d.
 
     A second, differently weighted bound (2*beta + alpha + gamma <= d) is
@@ -465,18 +486,12 @@ def check_vertex_profiles(emb: PlaneEmbedding) -> ValidationReport:
     ordinary cycles, and the charge arithmetic consistently relies on the
     first form. Vertices on a doubly-covered triangle are degenerate.
     """
-    name = "vertex_profiles"
-    reason = _validator_precondition(emb)
-    if reason:
-        return ValidationReport(name, DEGENERATE, (), reason)
-    tags = classify(emb)
-    items = []
-    for v in emb.graph.vertices:
+    for v in analysis.emb.graph.vertices:
         d = tags.degree[v]
         a, b, c = tags.alpha[v], tags.beta[v], tags.gamma[v]
         incident = tags.incident_three_faces[v]
         degenerate = any(
-            _coincident_boundaries(tags, incident[p], incident[q])
+            analysis.coincident(incident[p], incident[q])
             for p in range(len(incident))
             for q in range(p + 1, len(incident))
         )
@@ -489,11 +504,10 @@ def check_vertex_profiles(emb: PlaneEmbedding) -> ValidationReport:
         }
         if degenerate:
             detail["why"] = "incident 3-faces share identical boundaries"
-            items.append(ValidationItem(v, DEGENERATE, detail))
-            continue
-        ok = a <= d // 2 and 2 * a + b + c <= d
-        items.append(ValidationItem(v, PASS if ok else FAIL, detail))
-    return _combine(name, items)
+            yield ValidationItem(v, DEGENERATE, detail)
+        else:
+            ok = a <= d // 2 and 2 * a + b + c <= d
+            yield ValidationItem(v, PASS if ok else FAIL, detail)
 
 
 ALL_VALIDATORS = (
@@ -514,9 +528,10 @@ def _key_json(key: ElementKey) -> dict:
 def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
     """Full machine-readable audit: charges, transfers, conservation,
     negative elements, and the three structural validator verdicts."""
-    tags = classify(emb)
+    analysis = analyze(emb)
+    tags = analysis.tags
     initial = initial_charges(emb, tags)
-    final, log = apply_ruleset(emb, ruleset)
+    final, log = apply_ruleset(analysis, ruleset)
     per_element: dict[ElementKey, dict] = {}
     for key in initial.elements:
         kind, ident = key
@@ -551,6 +566,6 @@ def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
         ],
         "validators": {
             report.name: report.to_json()
-            for report in (v(emb) for v in ALL_VALIDATORS)
+            for report in (v(analysis) for v in ALL_VALIDATORS)
         },
     }

@@ -99,7 +99,6 @@ def trace_faces(emb: PlaneEmbedding) -> list[Face]:
         raise ValueError("face tracing requires a connected graph")
     if g.vertex_count == 1:
         return [Face(())]  # a lone vertex still bounds the one outer face
-    idx = g.index_of
     darts: list[Dart] = []
     for u in g.vertices:
         for w in g.ordered_neighbors(u):
@@ -122,17 +121,33 @@ def trace_faces(emb: PlaneEmbedding) -> list[Face]:
     return faces
 
 
+DISCONNECTED = "graph is disconnected"
+NOT_GENUS_ZERO = "embedding fails the Euler check"
+
+
+def certify_faces(emb: PlaneEmbedding) -> tuple[list[Face], str | None]:
+    """Traced faces and the first defect barring a genus-zero certificate:
+    DISCONNECTED (no faces are traced), NOT_GENUS_ZERO (V - E + F != 2), or
+    None when the embedding is certified."""
+    g = emb.graph
+    if not is_connected(g):
+        return [], DISCONNECTED
+    faces = trace_faces(emb)
+    if g.vertex_count - g.edge_count + len(faces) != 2:
+        return faces, NOT_GENUS_ZERO
+    return faces, None
+
+
 def check_planarity_certificate(emb: PlaneEmbedding) -> bool:
     """True iff the traced faces satisfy V - E + F = 2.
 
     False means the rotation system realizes a higher-genus surface (as any
     rotation of a nonplanar graph must).
     """
-    g = emb.graph
-    if not is_connected(g):
+    _, defect = certify_faces(emb)
+    if defect == DISCONNECTED:
         raise ValueError("planarity certificate requires a connected graph")
-    faces = trace_faces(emb)
-    return g.vertex_count - g.edge_count + len(faces) == 2
+    return defect is None
 
 
 def embedding_from_positions(

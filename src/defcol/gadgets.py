@@ -75,29 +75,12 @@ def triangle_link() -> GadgetResult:
     when that color's defect is 1: b would then see two same-colored
     neighbors. All six vertices are exposed as terminals.
     """
-    vertices = ["u", "a", "b", "c", "d", "v"]
-    edges = [
-        ("u", "a"),
-        ("u", "b"),
-        ("a", "b"),
-        ("b", "d"),
-        ("c", "d"),
-        ("c", "v"),
-        ("d", "v"),
-    ]
-    labels = {v: v for v in vertices}
-    g = Graph(vertices, edges, labels)
-    rotation = {
-        "u": ["a", "b"],
-        "a": ["b", "u"],
-        "b": ["u", "a", "d"],
-        "c": ["d", "v"],
-        "d": ["b", "c", "v"],
-        "v": ["c", "d"],
-    }
-    emb = PlaneEmbedding(g, rotation)
+    inner, edges, rotation, at_u, at_v = _link_parts("", "u", "v")
+    vertices = ["u", *inner, "v"]
+    rotation.update(u=at_u, v=at_v)
+    g = Graph(vertices, edges, {v: v for v in vertices})
     terminals = {name: name for name in vertices}
-    return GadgetResult(g, terminals, emb)
+    return GadgetResult(g, terminals, PlaneEmbedding(g, rotation))
 
 
 def _hub_parts(k: int, prefix: str):

@@ -69,6 +69,15 @@ class TestSolveCommand:
         code, out, _ = run(capsys, *argv)
         assert code == 10
 
+    def test_label_takes_precedence_over_index(self, tmp_path, capsys):
+        # vertex 2 carries the label "0"; an unlabelled token falls back to an index
+        path = tmp_path / "p3.graph"
+        path.write_text("# defcol-edgelist v1\n3 2\n0 1\n1 2\nlabel 2 0\n")
+        code, out, _ = run(capsys, "solve", "--graph", str(path), "--spec", "0,0,0",
+                           "--force", "0=3", "--force", "1=1")
+        assert code == 0
+        assert json.loads(out)["coloring"] == {"0": 2, "1": 1, "2": 3}
+
     def test_emit_cnf(self, tmp_path, capsys):
         out_path = tmp_path / "k4.cnf"
         code, _, _ = run(

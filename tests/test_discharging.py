@@ -1,7 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import defcol.discharging as discharging
+import defcol.embedding as embedding
 from defcol import (
     ChargeLedger,
     PlaneEmbedding,
@@ -15,14 +20,18 @@ from defcol import (
     check_big_face_bad2_capacity,
     check_planarity_certificate,
     check_vertex_profiles,
+    analyze,
     classify,
+    dump_embedding,
     initial_charges,
     make_graph,
     negative_elements,
+    non_1k,
     trace_faces,
     triangle_link,
     verify_conservation,
 )
+from defcol.cli import main
 
 from corpus import (
     corpus,
@@ -341,3 +350,103 @@ class TestAudit:
     def test_rulesets_registry(self):
         assert set(RULESETS) == {"44", "35", "29"}
         assert RULESETS["44"] is RULES_44
+
+
+VALIDATORS = (check_bad2_face_degrees, check_big_face_bad2_capacity, check_vertex_profiles)
+AUDIT_DIGESTS = json.loads((Path(__file__).parent / "audit_digests.json").read_text())
+# built before any counter is installed: generating a gadget certifies it
+NON_1K = {k: non_1k(k).embedding for k in (1, 2, 3)}
+
+
+def disconnected_with_4_cycle():
+    g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)])
+    rotation = {0: [1, 3], 1: [2, 0], 2: [3, 1], 3: [0, 2], 4: [5], 5: [4]}
+    return PlaneEmbedding(g, rotation)
+
+
+def k5_rotation():
+    # every rotation of K5 is nonplanar; K5 also has 4- and 5-cycles
+    g = make_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    return PlaneEmbedding(g, {v: list(g.ordered_neighbors(v)) for v in g.vertices})
+
+
+class TestSharedAnalysis:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # every face trace on the discharging path goes through certify_faces,
+        # which looks trace_faces up in defcol.embedding at call time
+        counts = {"trace_faces": 0, "is_c4c5_free": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(embedding, "trace_faces")
+        counting(discharging, "is_c4c5_free")
+        return counts
+
+    def test_one_trace_and_one_scan_per_audit(self, calls):
+        build_audit(NON_1K[1], RULES_44)
+        assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
+
+    def test_one_trace_and_one_scan_per_lemmas_call(self, calls, tmp_path, capsys):
+        path = tmp_path / "non1k.emb"
+        path.write_text(dump_embedding(NON_1K[1]))
+        assert main(["check", "lemmas", "--embedding", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == "lemmas"
+        assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
+
+    def test_rules_never_scan_for_cycles(self, calls):
+        classify(NON_1K[1])
+        apply_ruleset(NON_1K[1], RULES_35)
+        assert calls == {"trace_faces": 2, "is_c4c5_free": 0}
+
+    @pytest.mark.parametrize(
+        "emb",
+        [emb for _, emb in CORPUS] + list(NON_1K.values()),
+        ids=CORPUS_IDS + [f"non_1k_{k}_generated" for k in (1, 2, 3)],
+    )
+    def test_standalone_validators_match_shared_analysis(self, emb):
+        analysis = analyze(emb)
+        shared = [validator(analysis) for validator in VALIDATORS]
+        assert [validator(emb) for validator in VALIDATORS] == shared
+
+    @pytest.mark.parametrize(
+        "emb,reason",
+        [
+            (disconnected_with_4_cycle(), "graph is disconnected"),
+            (k5_rotation(), "embedding fails the Euler check"),
+            (cycle_embedding(4), "graph contains a 4-cycle or 5-cycle"),
+        ],
+        ids=["disconnected", "not_euler", "four_cycle"],
+    )
+    def test_degenerate_reasons(self, emb, reason):
+        for validator in VALIDATORS:
+            report = validator(emb)
+            assert (report.status, report.reason, report.items) == ("degenerate", reason, ())
+
+    @pytest.mark.parametrize(
+        "emb,message",
+        [
+            (disconnected_with_4_cycle(), "embedding graph must be connected"),
+            (k5_rotation(), "embedding fails the Euler check (not genus zero)"),
+        ],
+        ids=["disconnected", "not_euler"],
+    )
+    def test_classify_errors(self, emb, message):
+        calls = (classify, lambda e: apply_ruleset(e, RULES_44), lambda e: build_audit(e, RULES_44))
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(emb)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("ruleset", sorted(RULESETS))
+    @pytest.mark.parametrize("name,emb", CORPUS, ids=CORPUS_IDS)
+    def test_audit_bytes_match_recorded_digests(self, name, emb, ruleset):
+        doc = json.dumps(build_audit(emb, RULESETS[ruleset]), indent=2, sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == AUDIT_DIGESTS[f"{name}/{ruleset}"]
