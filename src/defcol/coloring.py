@@ -157,7 +157,9 @@ def solve(
     colors, then highest degree, then vertex order) and tries colors in
     ascending order. Each colored vertex tracks its remaining same-color
     slack; a zeroed slack forbids that color on the uncolored neighborhood,
-    which is the propagation that carries the search.
+    which is the propagation that carries the search. Decisions live on an
+    explicit stack over an undo trail, so depth is bounded by memory, not
+    by the interpreter's recursion limit.
 
     `budget` caps the number of branching decisions; exceeding it yields a
     distinct outcome, never a fabricated Unsat.
@@ -174,7 +176,8 @@ def solve(
     n = len(verts)
     vindex = {v: i for i, v in enumerate(verts)}
     adj = [tuple(sorted(vindex[w] for w in g.neighbors(v))) for v in verts]
-    deg = [len(a) for a in adj]
+    # Static branching order: highest degree first, then vertex order.
+    order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
 
     full_mask = (1 << k) - 1
     allowed = [full_mask] * n
@@ -188,7 +191,6 @@ def solve(
     ncc = [0] * (n * k)  # colored-neighbor counts, flattened [v * k + (c-1)]
     slack = [0] * n
     trail: list[tuple[int, int, int]] = []
-    state = {"uncolored": n, "nodes": 0}
 
     def forbid(x: int, c: int, queue: deque) -> bool:
         bit = 1 << (c - 1)
@@ -208,7 +210,6 @@ def solve(
         ci = c - 1
         trail.append((0, x, 0))
         color[x] = c
-        state["uncolored"] -= 1
         slack[x] = defects[ci] - ncc[x * k + ci]
         for y in adj[x]:
             cy = color[y]
@@ -246,7 +247,6 @@ def solve(
             tag, x, payload = trail.pop()
             if tag == 0:
                 color[x] = 0
-                state["uncolored"] += 1
             elif tag == 1:
                 allowed[x] = payload
             elif tag == 2:
@@ -254,34 +254,49 @@ def solve(
             else:
                 ncc[x * k + payload] -= 1
 
-    def search() -> str:
-        if state["uncolored"] == 0:
-            return SAT
-        best = -1
-        best_key = None
-        for i in range(n):
-            if color[i] == 0:
-                key = (allowed[i].bit_count(), -deg[i])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = i
-        m = allowed[best]
-        c = 1
-        while m:
-            if m & 1:
-                state["nodes"] += 1
-                if state["nodes"] > budget:
-                    return BUDGET
-                mark = len(trail)
-                queue: deque = deque()
-                if assign(best, c, queue) and propagate(queue):
-                    result = search()
-                    if result != UNSAT:
-                        return result
+    def search() -> tuple[str, int]:
+        # One frame per open decision: [vertex, untried color mask, trail
+        # mark, scan start]. Every vertex before the scan start in `order`
+        # is colored, so the start only advances while the search descends,
+        # and a frame restores its own on return.
+        stack: list[list[int]] = []
+        nodes = 0
+        start = 0
+        while True:
+            while start < n and color[order[start]]:
+                start += 1
+            if start == n:
+                return SAT, nodes
+            # Propagation has colored every vertex down to one allowed color,
+            # so the first uncolored vertex with two is a minimum.
+            best = order[start]
+            fewest = allowed[best].bit_count()
+            p = start + 1
+            while fewest > 2 and p < n:
+                i = order[p]
+                if color[i] == 0:
+                    count = allowed[i].bit_count()
+                    if count < fewest:
+                        best, fewest = i, count
+                p += 1
+            stack.append([best, allowed[best], len(trail), start])
+            while stack:
+                frame = stack[-1]
+                x, m, mark, start = frame
                 undo(mark)
-            m >>= 1
-            c += 1
-        return UNSAT
+                if not m:
+                    stack.pop()
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    return BUDGET, nodes
+                bit = m & -m  # colors are tried in ascending order
+                frame[1] = m ^ bit
+                queue: deque = deque()
+                if assign(x, bit.bit_length(), queue) and propagate(queue):
+                    break
+            else:
+                return UNSAT, nodes
 
     # Seed: forced colors, then vertices already down to one allowed color.
     queue: deque = deque()
@@ -296,8 +311,7 @@ def solve(
     if not propagate(queue):
         return SolveOutcome.unsat(0)
 
-    result = search()
-    nodes = state["nodes"]
+    result, nodes = search()
     if result == SAT:
         return SolveOutcome.sat({verts[i]: color[i] for i in range(n)}, nodes)
     if result == UNSAT:

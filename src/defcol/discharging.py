@@ -344,7 +344,13 @@ def apply_ruleset(
 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run every rule against the initial classification; returns the final
     ledger and the complete transfer log in deterministic order."""
-    analysis = analyze(source)
+    _, final, log = _discharge(analyze(source), ruleset)
+    return final, log
+
+
+def _discharge(
+    analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
+) -> tuple[ChargeLedger, ChargeLedger, list[Transfer]]:
     tags = analysis.tags
     initial = initial_charges(analysis.emb, tags)
     charges = dict(initial.charges)
@@ -354,7 +360,7 @@ def apply_ruleset(
             charges[t.source] -= t.amount
             charges[t.target] += t.amount
             log.append(t)
-    return ChargeLedger(initial.elements, charges), log
+    return initial, ChargeLedger(initial.elements, charges), log
 
 
 def verify_conservation(initial: ChargeLedger, final: ChargeLedger) -> bool:
@@ -530,8 +536,7 @@ def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
     negative elements, and the three structural validator verdicts."""
     analysis = analyze(emb)
     tags = analysis.tags
-    initial = initial_charges(emb, tags)
-    final, log = apply_ruleset(analysis, ruleset)
+    initial, final, log = _discharge(analysis, ruleset)
     per_element: dict[ElementKey, dict] = {}
     for key in initial.elements:
         kind, ident = key

@@ -130,9 +130,10 @@ def certify_faces(emb: PlaneEmbedding) -> tuple[list[Face], str | None]:
     DISCONNECTED (no faces are traced), NOT_GENUS_ZERO (V - E + F != 2), or
     None when the embedding is certified."""
     g = emb.graph
-    if not is_connected(g):
+    try:
+        faces = trace_faces(emb)  # checks connectivity first
+    except ValueError:
         return [], DISCONNECTED
-    faces = trace_faces(emb)
     if g.vertex_count - g.edge_count + len(faces) != 2:
         return faces, NOT_GENUS_ZERO
     return faces, None

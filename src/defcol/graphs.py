@@ -20,6 +20,11 @@ MAX_CYCLE_LENGTH = 8
 
 EDGELIST_HEADER = "# defcol-edgelist v1"
 
+# Loader limits: a header past these is rejected before anything is built.
+# A plane graph has at most 3n - 6 edges.
+MAX_VERTICES = 200_000
+MAX_EDGES = 3 * MAX_VERTICES
+
 
 class Graph:
     """Immutable simple undirected graph with ordered, opaque vertex ids."""
@@ -240,19 +245,43 @@ def is_c4c5_free(g: Graph) -> bool:
 def girth(g: Graph) -> int | float:
     """Length of a shortest simple cycle; math.inf for forests.
 
-    BFS from every root; candidate lengths from non-tree edges never
-    undercount, and the root on a shortest cycle yields the exact value.
+    Vertices of degree at most 1 lie on no cycle, so they are peeled off
+    first, repeatedly. A BFS from each remaining root, capped once it can no
+    longer beat the best cycle so far, bounds every cycle through that root;
+    the root is then deleted and the peeling resumes from its neighbors.
+    Candidate lengths from non-tree edges never undercount, and the BFS from
+    the first root of a shortest cycle yields the exact value. Forests,
+    cycles and sparse strips take near-linear time.
     """
+    index = g.index_of
+    adj = [{index(w) for w in g.neighbors(v)} for v in g.vertices]
+
+    def remove(v: int) -> None:
+        # Delete v, then every vertex that this leaves with degree <= 1.
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                adj[w].discard(u)
+                if len(adj[w]) <= 1:
+                    stack.append(w)
+            adj[u].clear()
+
+    for v in range(len(adj)):
+        if len(adj[v]) <= 1:
+            remove(v)
     best: int | float = math.inf
-    for root in g.vertices:
+    for root, around in enumerate(adj):
+        if not around:
+            continue
         dist = {root: 0}
-        parent: dict[Vertex, Vertex | None] = {root: None}
+        parent = {root: -1}
         queue = deque([root])
         while queue:
             u = queue.popleft()
             if 2 * dist[u] >= best - 1:
                 continue
-            for w in g.ordered_neighbors(u):
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -261,6 +290,7 @@ def girth(g: Graph) -> int | float:
                     cand = dist[u] + dist[w] + 1
                     if cand < best:
                         best = cand
+        remove(root)
     return best
 
 
@@ -311,6 +341,10 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     if len(head) != 2:
         raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
     n, m = int(head[0]), int(head[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if not 0 <= m <= MAX_EDGES:
+        raise ValueError(f"edge count {m} outside 0..{MAX_EDGES}")
     pairs = []
     for line in lines[1 : 1 + m]:
         parts = line.split()

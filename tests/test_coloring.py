@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,17 @@ from defcol import (
     always_extends,
     brute_force_oracle,
     deletion_preserves,
+    dump_graph,
+    hub_gadget,
     is_valid_coloring,
     make_graph,
+    non_1k,
     solve,
     triangle_link,
 )
+from defcol.cli import main
 
+from corpus import fused_hexagons
 from strategies import SPECS, graphs
 
 
@@ -211,3 +219,56 @@ class TestDeletionPreserves:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceededError):
             deletion_preserves(k_n(5), 0, (0, 1), budget=1)
+
+
+WITNESSES = json.loads((Path(__file__).parent / "solver_witnesses.json").read_text())
+
+
+def path_graph(n):
+    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class TestSearchPins:
+    """The decision sequence is part of the contract: node counts and sat
+    witnesses match those of the recursive solver the search replaced."""
+
+    @pytest.mark.parametrize("k, nodes", [(1, 12), (2, 80), (3, 574), (4, 3770), (5, 25374)])
+    def test_hub_lemma_node_counts(self, k, nodes):
+        hub = hub_gadget(k)
+        cons = ConstraintSet(forced={hub.terminals["z"]: 2, hub.terminals["x1"]: 2})
+        out = solve(hub.graph, (1, k), cons, budget=10**6)
+        assert out.is_unsat
+        assert out.nodes == nodes
+
+    def test_non_1k_unsat_node_count(self):
+        out = solve(non_1k(1).graph, (1, 1), budget=10**6)
+        assert out.is_unsat
+        assert out.nodes == 1190
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_non_1k_sat_witness(self, k):
+        pin = WITNESSES[f"non1k_k{k}_1_{k + 1}"]
+        g = non_1k(k).graph
+        out = solve(g, (1, k + 1), budget=10**6)
+        assert out.is_sat
+        assert out.nodes == pin["nodes"]
+        assert "".join(str(out.coloring[v]) for v in g.vertices) == pin["coloring"]
+
+    def test_deep_search_has_no_recursion_limit(self):
+        g = path_graph(100_000)
+        out = solve(g, (2, 2), budget=10**6)
+        assert out.is_sat
+        assert out.nodes == 100_000
+        assert is_valid_coloring(g, (2, 2), out.coloring)
+
+    @pytest.mark.parametrize("g", [path_graph(1500), fused_hexagons(400).graph],
+                             ids=["path1500", "hex1602"])
+    def test_cli_solves_long_inputs(self, g, tmp_path, capsys):
+        path = tmp_path / "long.graph"
+        path.write_text(dump_graph(g))
+        code = main(["solve", "--graph", str(path), "--spec", "2,2", "--budget", "100000"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["outcome"] == "sat"
+        coloring = {g.vertices[int(i)]: c for i, c in doc["coloring"].items()}
+        assert is_valid_coloring(g, (2, 2), coloring)

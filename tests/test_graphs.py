@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,31 @@ def k_n(n):
 
 def cycle(n):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def forests_plus_cores(draw):
+    """Small cores, some bridged to what came before, plus up to 30 tree
+    vertices each joined by at most one edge, in shuffled vertex order.
+    Bridges and tree vertices close no cycle, so the girth is the least
+    oracle girth of the cores."""
+    edges: list[tuple[int, int]] = []
+    n = 0
+    expected = math.inf
+    for core in draw(st.lists(graphs(max_n=6), max_size=4)):
+        idx = core.index_of
+        edges += [(n + idx(u), n + idx(v)) for u, v in core.edges()]
+        if n and draw(st.booleans()):
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, len(core) - 1))))
+        expected = min(expected, girth_by_enumeration(core))
+        n += len(core)
+    for v in range(n, n + draw(st.integers(0, 30))):
+        anchor = draw(st.integers(-1, v - 1))
+        if anchor >= 0:
+            edges.append((anchor, v))
+        n = v + 1
+    perm = draw(st.permutations(range(n)))
+    return make_graph(n, [(perm[u], perm[v]) for u, v in edges]), expected
 
 
 class TestMakeGraph:
@@ -183,6 +209,28 @@ class TestGirth:
     @given(graphs(max_n=7))
     def test_agrees_with_enumeration_oracle(self, g):
         assert girth(g) == girth_by_enumeration(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(forests_plus_cores())
+    def test_forests_plus_cycles_agree_with_enumeration_oracle(self, case):
+        g, expected = case
+        assert girth(g) == expected
+
+    def test_cycle_with_long_tails(self):
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(i, i + 1) for i in range(5, 400)] + [(0, 5), (2, 401)]
+        assert girth(make_graph(402, edges)) == 5
+
+    def test_two_cycles_joined_by_a_path(self):
+        edges = [(i, (i + 1) % 7) for i in range(7)]
+        edges += [(7 + i, 7 + (i + 1) % 9) for i in range(9)] + [(0, 16), (16, 7)]
+        assert girth(make_graph(17, edges)) == 7
+
+    def test_long_cycle_is_fast(self):
+        g = cycle(10_000)
+        start = time.perf_counter()
+        assert girth(g) == 10_000
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDeleteVertex:

@@ -1,0 +1,95 @@
+"""Hostile input for the text loaders: every document either loads or is
+rejected with ValueError, which the CLI turns into exit code 2."""
+
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defcol import dump_embedding, dump_graph, load_embedding, load_graph, triangle_link
+from defcol.cli import main
+from defcol.graphs import MAX_EDGES, MAX_VERTICES
+
+from corpus import fused_hexagons, k3_embedding, pendant_triangle
+
+
+VALID = [
+    doc
+    for emb in (k3_embedding(), pendant_triangle(), fused_hexagons(2), triangle_link().embedding)
+    for doc in (dump_graph(emb.graph), dump_embedding(emb))
+]
+
+TOKENS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2", "3", "7", "-1", "label", "rot", "0:", "3:", ":", "x", "#",
+         "1.5", "1_0", str(MAX_VERTICES + 1), str(10**30)]
+    ),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = draw(st.sampled_from(VALID)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            lines.append(draw(TOKENS))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        op = draw(st.sampled_from(
+            ["drop line", "duplicate line", "rewrite line",
+             "drop token", "duplicate token", "rewrite token"]
+        ))
+        if op == "drop line":
+            del lines[i]
+        elif op == "duplicate line":
+            lines.insert(i, lines[i])
+        elif op == "rewrite line":
+            lines[i] = " ".join(draw(st.lists(TOKENS, max_size=4)))
+        elif tokens:
+            j = draw(st.integers(0, len(tokens) - 1))
+            if op == "drop token":
+                del tokens[j]
+            elif op == "duplicate token":
+                tokens.insert(j, tokens[j])
+            else:
+                tokens[j] = draw(TOKENS)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_load_or_raise_value_error(text):
+    for loader in (load_graph, load_embedding):
+        try:
+            loader(text)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("header", [f"{MAX_VERTICES + 1} 0", f"3 {MAX_EDGES + 1}", "3000000 0", "3 -1"])
+def test_oversized_or_negative_header_rejected_fast(header):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        load_graph(header + "\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_limit_admits_a_100k_vertex_path():
+    n = 100_000
+    text = f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+    assert load_graph(text).edge_count == n - 1
+
+
+def test_cli_rejects_oversized_header_with_exit_two(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("3000000 0\n")
+    start = time.perf_counter()
+    assert main(["check", "girth", "--graph", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "exceeds the limit" in out.err
