@@ -47,6 +47,13 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_graph_arg(args) -> Graph:
     if getattr(args, "graph", None):
         return load_graph(_read(args.graph))
@@ -94,7 +101,10 @@ def _parse_assignments(g: Graph, pairs: list[str]) -> list[tuple[object, int]]:
 
 
 def _constraints(g: Graph, args) -> ConstraintSet:
-    forced = dict(_parse_assignments(g, args.force or []))
+    forced: dict[object, int] = {}
+    for v, c in _parse_assignments(g, args.force or []):
+        if forced.setdefault(v, c) != c:
+            raise CliError(f"vertex {v!r} is forced to both {forced[v]} and {c}")
     forbidden: dict[object, set[int]] = {}
     for v, c in _parse_assignments(g, args.forbid or []):
         forbidden.setdefault(v, set()).add(c)
@@ -118,6 +128,7 @@ def _emit_outcome(g: Graph, outcome: SolveOutcome, budget: int | None) -> int:
         "coloring": _coloring_json(g, outcome.coloring),
         "nodes": outcome.nodes,
         "budget": budget,
+        "stats": dict(outcome.stats),
     })
     if outcome.is_sat:
         return EXIT_SAT
@@ -132,7 +143,7 @@ def _cmd_solve(args) -> int:
     cons = _constraints(g, args)
     if args.emit_cnf:
         doc = export_cnf(g, spec, cons)
-        Path(args.emit_cnf).write_text(doc.to_dimacs())
+        _write(args.emit_cnf, doc.to_dimacs())
         _emit({"format": "defcol-solve v1", "cnf": args.emit_cnf,
                "vars": doc.num_vars, "clauses": len(doc.clauses)})
         return EXIT_SAT
@@ -157,11 +168,11 @@ def _write_gadget(result: GadgetResult, prefix: str) -> dict:
     g = result.graph
     files = {}
     graph_path = f"{prefix}.graph"
-    Path(graph_path).write_text(dump_graph(g))
+    _write(graph_path, dump_graph(g))
     files["graph"] = graph_path
     if result.embedding is not None:
         emb_path = f"{prefix}.emb"
-        Path(emb_path).write_text(dump_embedding(result.embedding))
+        _write(emb_path, dump_embedding(result.embedding))
         files["embedding"] = emb_path
     return {
         "format": "defcol-gadget v1",
@@ -215,7 +226,7 @@ def _cmd_audit(args) -> int:
     ruleset = RULESETS[args.ruleset]
     doc = build_audit(emb, ruleset)
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         _emit({"format": "defcol-audit v1", "written": args.out})
     else:
         _emit(doc)

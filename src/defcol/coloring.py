@@ -23,9 +23,17 @@ SAT = "sat"
 UNSAT = "unsat"
 BUDGET = "budget"
 
+# Most budget vectors a closed piece's profile may range over; a piece that
+# would need more stays on the main line, which is always sound.
+PROFILE_MAX_BUDGETS = 64
+
 
 class BudgetExceededError(RuntimeError):
     """Raised where an exhaustive verdict was required but the budget ran out."""
+
+
+class _BudgetStop(Exception):
+    """Unwinds every open search of `solve` once the decision budget runs out."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,9 @@ class SolveOutcome:
     status: str
     coloring: dict[Vertex, int] | None
     nodes: int
+    # Search statistics from `solve`: decisions (equal to nodes),
+    # pieces_closed, cache_hits, cache_misses and max_nesting.
+    stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
     def is_sat(self) -> bool:
@@ -97,10 +108,6 @@ class SolveOutcome:
     @classmethod
     def unsat(cls, nodes: int) -> "SolveOutcome":
         return cls(UNSAT, None, nodes)
-
-    @classmethod
-    def budget(cls, nodes: int) -> "SolveOutcome":
-        return cls(BUDGET, None, nodes)
 
 
 def is_valid_coloring(
@@ -144,6 +151,13 @@ def _validate_constraints(g: Graph, spec: ColoringSpec, cons: ConstraintSet) -> 
             raise ValueError(f"vertex {v!r} has its forced color forbidden")
 
 
+def _root(group: list[int], s: int) -> int:
+    """Union-find root with path halving."""
+    while group[s] != s:
+        group[s] = s = group[group[s]]
+    return s
+
+
 def solve(
     g: Graph,
     spec: ColoringSpec | Iterable[int],
@@ -158,11 +172,36 @@ def solve(
     ascending order. Each colored vertex tracks its remaining same-color
     slack; a zeroed slack forbids that color on the uncolored neighborhood,
     which is the propagation that carries the search. Decisions live on an
-    explicit stack over an undo trail, so depth is bounded by memory, not
-    by the interpreter's recursion limit.
+    explicit stack over an undo trail.
 
-    `budget` caps the number of branching decisions; exceeding it yields a
-    distinct outcome, never a fabricated Unsat.
+    After every decision and its propagation the search checks whether the
+    uncolored vertices around the newly colored ones fell apart into
+    *pieces*. The largest piece stays on the main line; every other piece
+    is closed off. A piece touches the rest of the graph only through its
+    colored neighbors, its *attachments*. An attachment is *binding* when
+    it borders two or more pieces that can take its color and has less
+    slack than their combined demand for it.
+
+    * A piece with no binding attachment is searched at once, in place.
+    * Otherwise its *profile* is computed: the Pareto-minimal budgets of
+      slack on its binding attachments under which an exhaustive
+      sub-search confined to the piece succeeds, each with its witness
+      coloring. Profiles are cached by the piece's complete local instance
+      (allowed colors, adjacency, attachment colors and slack), so
+      interchangeable copies are searched once. A piece that needs none
+      of the contested slack is placed at once. A knapsack over the
+      attachments' slack combines the other profiles into the
+      Pareto-minimal reservations; the main line branches over them,
+      searches on with that slack reserved, and places the witnesses when
+      it is done.
+
+    A closed piece is never larger than the piece that continues, so
+    sub-searches nest at most log2(n) deep.
+
+    `budget` caps the number of decisions, summed over the main line and
+    every sub-search; a cached profile costs none, and choosing among two
+    or more reservations counts as a decision. Exceeding the budget
+    anywhere yields a distinct outcome, never a fabricated Unsat.
     """
     spec = as_spec(spec)
     cons = constraints or ConstraintSet()
@@ -175,9 +214,14 @@ def solve(
     verts = g.vertices
     n = len(verts)
     vindex = {v: i for i, v in enumerate(verts)}
-    adj = [tuple(sorted(vindex[w] for w in g.neighbors(v))) for v in verts]
-    # Static branching order: highest degree first, then vertex order.
-    order = sorted(range(n), key=lambda i: (-len(adj[i]), i))
+    index = vindex.__getitem__
+    adj = [tuple(sorted(map(index, g.neighbors(v)))) for v in verts]
+    # Static branching order: highest degree first, then vertex order (the
+    # sort is stable).
+    order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
+    rank = [0] * n
+    for p, i in enumerate(order):
+        rank[i] = p
 
     full_mask = (1 << k) - 1
     allowed = [full_mask] * n
@@ -190,46 +234,89 @@ def solve(
     color = [0] * n
     ncc = [0] * (n * k)  # colored-neighbor counts, flattened [v * k + (c-1)]
     slack = [0] * n
+    owner = [0] * n  # scope: the search that may color an uncolored vertex
+    # Every state change is logged as (tag, vertex, payload) for undo():
+    # 0 assign, 1 forbid (old mask), 2 slack used, 3 neighbor count (color),
+    # 4 forbid that left two or more colors (old mask; also pushed `lost`),
+    # 5 slack set (old slack), 6 scope change (old scope), 7 `lost` push.
     trail: list[tuple[int, int, int]] = []
+    # Uncolored vertices that lost a color yet kept two or more, in the
+    # order they lost it: the only candidates a pick must look at besides
+    # the first uncolored vertex of the static order.
+    lost: list[int] = []
+    stamp = [0] * n  # split(): the epoch that last reached a vertex
+    reached_by = [0] * n  # split(): the search that reached it
+    seeds: list[int] = []  # split(): the vertices its searches start from
+    cache: dict[tuple, list] = {}
+    nodes = closed = hits = misses = nesting = scopes = epoch = 0
 
     def forbid(x: int, c: int, queue: deque) -> bool:
         bit = 1 << (c - 1)
         m = allowed[x]
         if not (m & bit):
             return True
+        left = m & ~bit
+        allowed[x] = left
+        if left & (left - 1):
+            trail.append((4, x, m))
+            lost.append(x)
+            return True
         trail.append((1, x, m))
-        m &= ~bit
-        allowed[x] = m
-        if m == 0:
+        if left == 0:
             return False
-        if m & (m - 1) == 0:
-            queue.append((x, m.bit_length()))
+        queue.append((x, left.bit_length()))
         return True
 
     def assign(x: int, c: int, queue: deque) -> bool:
         ci = c - 1
         trail.append((0, x, 0))
         color[x] = c
-        slack[x] = defects[ci] - ncc[x * k + ci]
+        cap = defects[ci]
+        slack[x] = cap - ncc[x * k + ci]
+        cap += 1
+        sid = owner[x]
         for y in adj[x]:
             cy = color[y]
             if cy == c:
                 slack[y] -= 1
                 trail.append((2, y, 0))
                 if slack[y] == 0:
+                    # y may border other scopes; their share of its slack
+                    # is reserved, so propagation stays in x's scope.
                     for z in adj[y]:
-                        if color[z] == 0 and not forbid(z, c, queue):
+                        if color[z] == 0 and owner[z] == sid and not forbid(z, c, queue):
                             return False
             elif cy == 0:
-                ncc[y * k + ci] += 1
+                j = y * k + ci
+                ncc[j] += 1
                 trail.append((3, y, ci))
-                if ncc[y * k + ci] == defects[ci] + 1 and not forbid(y, c, queue):
+                if ncc[j] == cap and not forbid(y, c, queue):
                     return False
         if slack[x] == 0:
             for y in adj[x]:
                 if color[y] == 0 and not forbid(y, c, queue):
                     return False
         return True
+
+    def restrict(y: int, left: int, sid: int, queue: deque) -> bool:
+        """Set a colored vertex's slack to a budget or what a reservation
+        leaves; at zero its color is forbidden on its neighbors in scope sid."""
+        trail.append((5, y, slack[y]))
+        slack[y] = left
+        if left == 0:
+            c = color[y]
+            for z in adj[y]:
+                if color[z] == 0 and owner[z] == sid and not forbid(z, c, queue):
+                    return False
+        return True
+
+    def place(piece: list[int], witness: tuple[int, ...]) -> None:
+        """Color a closed piece with a witness from its profile. Its
+        attachments' slack is not charged: the witness fits within the
+        slack reserved for it or left to it."""
+        for x, c in zip(piece, witness):
+            trail.append((0, x, 0))
+            color[x] = c
 
     def propagate(queue: deque) -> bool:
         while queue:
@@ -251,72 +338,396 @@ def solve(
                 allowed[x] = payload
             elif tag == 2:
                 slack[x] += 1
-            else:
+            elif tag == 3:
                 ncc[x * k + payload] -= 1
+            elif tag == 4:
+                allowed[x] = payload
+                lost.pop()
+            elif tag == 5:
+                slack[x] = payload
+            elif tag == 6:
+                owner[x] = payload
+            else:
+                lost.pop()
 
-    def search() -> tuple[str, int]:
-        # One frame per open decision: [vertex, untried color mask, trail
-        # mark, scan start]. Every vertex before the scan start in `order`
-        # is colored, so the start only advances while the search descends,
-        # and a frame restores its own on return.
-        stack: list[list[int]] = []
-        nodes = 0
+    def split(sid: int, mark: int) -> list[list[int]]:
+        """The pieces, other than the largest, that the uncolored vertices
+        of scope sid fell into around the vertices assigned since mark,
+        each in branching order; empty when nothing fell apart.
+
+        One BFS starts from each uncolored neighbor of those vertices that
+        has an uncolored neighbor itself, adjacent ones sharing a search;
+        the others are pieces of one vertex. The searches advance a vertex
+        at a time in turn and merge when they meet, until at most one is
+        still growing and it has outgrown every finished one. A finished
+        search has traced a whole piece, so the cost is the size of the
+        pieces returned, not of the scope.
+        """
+        nonlocal epoch
+        epoch += 1
+        e = epoch
+        seeds.clear()
+        # Assigning a vertex raised the colored-neighbor count (tag 3) of
+        # each of its uncolored neighbors, which share its scope.
+        for t in range(mark, len(trail)):
+            tag, y, _ = trail[t]
+            if tag == 3 and stamp[y] != e and not color[y]:
+                stamp[y] = e
+                reached_by[y] = -2
+                seeds.append(y)
+        if len(seeds) < 2:
+            return ()
+        count = alone = 0  # searches; seeds with every neighbor colored
+        for y in seeds:
+            r = -1
+            for z in adj[y]:
+                if not color[z]:
+                    if stamp[z] == e and reached_by[z] >= 0:
+                        r = reached_by[z]  # an adjacent seed: one search serves both
+                        break
+                    r = count
+            reached_by[y] = r
+            if r < 0:
+                alone += 1
+            elif r == count:
+                count += 1
+        if count < 2 and not alone:
+            return ()
+        queues: list[list[int]] = [[] for _ in range(count)]
+        lone: list[list[int]] = []
+        for y in seeds:
+            if reached_by[y] < 0:
+                lone.append([y])
+            else:
+                queues[reached_by[y]].append(y)
+        if count < 2:
+            # A seed with an uncolored neighbor outgrows every lone one.
+            return lone[count == 0:]
+        heads = [0] * count
+        if count == 2:
+            # The common case, two searches, without the bookkeeping below
+            # until one of them has traced its whole piece.
+            qa, qb = queues
+            ha = hb = 0
+            while ha < len(qa) and hb < len(qb):
+                for y in adj[qa[ha]]:
+                    if stamp[y] != e:
+                        if not color[y] and owner[y] == sid:
+                            stamp[y] = e
+                            reached_by[y] = 0
+                            qa.append(y)
+                    elif reached_by[y]:
+                        return lone
+                ha += 1
+                for y in adj[qb[hb]]:
+                    if stamp[y] != e:
+                        if not color[y] and owner[y] == sid:
+                            stamp[y] = e
+                            reached_by[y] = 1
+                            qb.append(y)
+                    elif not reached_by[y]:
+                        return lone
+                hb += 1
+            heads = [ha, hb]
+        group = list(range(count))  # union-find; a group's root is its first search
+        busy = [int(h < len(q)) for h, q in zip(heads, queues)]  # at a root: searches growing
+        groups = count
+        growing = sum(busy)
+        active = [s for s in range(count) if busy[s]]
+        members: dict[int, list[int]] = {}  # group root -> its searches, once one grows alone
+        live = -1  # the root of the group still growing
+        while active:
+            if growing == 1:
+                if groups == 1:
+                    return lone
+                if not members:
+                    for s in range(count):
+                        members.setdefault(_root(group, s), []).append(s)
+                    live = _root(group, active[0])
+                    largest = max(sum([len(queues[s]) for s in m])
+                                  for r, m in members.items() if r != live)
+                if sum([len(queues[s]) for s in members[live]]) >= largest:
+                    break
+            still = []
+            for s in active:
+                q = queues[s]
+                h = heads[s]
+                heads[s] = h + 1
+                for y in adj[q[h]]:
+                    if stamp[y] != e:
+                        if not color[y] and owner[y] == sid:
+                            stamp[y] = e
+                            reached_by[y] = s
+                            q.append(y)
+                    elif reached_by[y] != s:
+                        a, b = _root(group, s), _root(group, reached_by[y])
+                        if a != b:
+                            # A finished group is a whole piece, so both still grow.
+                            if b < a:
+                                a, b = b, a
+                            group[b] = a
+                            busy[a] += busy[b]
+                            groups -= 1
+                            growing -= 1
+                if h + 1 < len(q):
+                    still.append(s)
+                else:
+                    r = _root(group, s)
+                    busy[r] -= 1
+                    if not busy[r]:
+                        growing -= 1
+            active = still
+        if groups == 1:
+            return lone
+        if not active:
+            members.clear()
+            for s in range(count):
+                members.setdefault(_root(group, s), []).append(s)
+            live = max(members, key=lambda r: sum([len(queues[s]) for s in members[r]]))
+        return lone + [sorted([y for s in m for y in queues[s]], key=rank.__getitem__)
+                       for r, m in members.items() if r != live]
+
+    def close(sid: int, pieces: list[list[int]], depth: int):
+        """Close off split()'s pieces. Returns None when none is left
+        pending, False on a conflict, else (attachments, reservations)."""
+        nonlocal closed, scopes
+        demand: dict[int, int] = {}
+        plans = []
+        for piece in pieces:
+            if len(piece) == 1:
+                # A lone vertex whose neighbors are all colored: a color
+                # none of them has costs nobody slack, so it is taken now.
+                x = piece[0]
+                free = allowed[x]
+                for y in adj[x]:
+                    free &= ~(1 << (color[y] - 1))
+                if free:
+                    closed += 1
+                    place(piece, ((free & -free).bit_length(),))
+                    continue
+            atts: dict[int, int] = {}  # attachment -> the piece's demand for its color
+            for x in piece:
+                m = allowed[x]
+                for y in adj[x]:
+                    c = color[y]
+                    if c:
+                        atts[y] = atts.get(y, 0) + ((m >> (c - 1)) & 1)
+            binding = []
+            box = 1
+            for y, d in atts.items():
+                if not d or slack[y] >= len(adj[y]):
+                    continue
+                total = demand.get(y)
+                if total is None:
+                    bit = 1 << (color[y] - 1)
+                    total = demand[y] = sum(
+                        1 for z in adj[y] if not color[z] and owner[z] == sid and allowed[z] & bit
+                    )
+                if d < total and slack[y] < total:
+                    binding.append(y)
+                    box *= d + 1
+            # A piece with too many budgets to try stays on the main line.
+            if box <= PROFILE_MAX_BUDGETS:
+                plans.append((piece, atts, binding))
+        scoped = []
+        for piece, atts, binding in plans:
+            scopes += 1
+            for x in piece:
+                trail.append((6, x, sid))
+                owner[x] = scopes
+            scoped.append((scopes, piece, atts, binding))
+        closed += len(scoped)
+        pending = []
+        for psid, piece, atts, binding in scoped:
+            if not binding:
+                if not search(psid, piece, len(trail), depth + 1):
+                    return False
+                continue
+            entries = profile(psid, piece, atts, binding, depth + 1)
+            if not entries:
+                return False
+            if any(entries[0][0]):
+                pending.append((binding, entries, piece))
+            else:
+                # It needs none of the contested slack: place it now.
+                place(piece, entries[0][1])
+        return knapsack(pending) if pending else None
+
+    def profile(psid: int, piece: list[int], atts: dict[int, int], binding: list[int],
+                depth: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Pareto-minimal budget vectors over a piece's binding attachments
+        under which it has a coloring, each with that coloring."""
+        nonlocal hits, misses
+        pos = {y: -1 - j for j, y in enumerate(atts)}
+        pos.update((x, i) for i, x in enumerate(piece))
+        tied = set(binding)
+        # Equal keys mean equal local instances under the positional map,
+        # and a binding budget never exceeds the piece's own demand.
+        key = (
+            tuple([allowed[x] for x in piece]),
+            tuple([tuple([pos[y] for y in adj[x]]) for x in piece]),
+            tuple([(color[y], -1 if y in tied else min(slack[y], d)) for y, d in atts.items()]),
+        )
+        entries = cache.get(key)
+        if entries is not None:
+            hits += 1
+            return entries
+        misses += 1
+        entries = []
+        budgets = product(*(range(atts[y] + 1) for y in binding))
+        # By increasing total, a success consumes exactly its budget: any
+        # smaller feasible vector was tried first and would dominate it.
+        for vec in sorted(budgets, key=lambda v: (sum(v), v)):
+            if any(all(a <= b for a, b in zip(found, vec)) for found, _ in entries):
+                continue
+            mark = len(trail)
+            queue: deque = deque()
+            if (all(restrict(y, b, psid, queue) for y, b in zip(binding, vec))
+                    and propagate(queue) and search(psid, piece, mark, depth)):
+                entries.append((vec, tuple(color[x] for x in piece)))
+            undo(mark)
+        cache[key] = entries
+        return entries
+
+    def knapsack(pending):
+        """Pareto-minimal slack reservations that fit every binding
+        attachment, cheapest first, each with the witnesses it places."""
+        atts: list[int] = []
+        where: dict[int, int] = {}
+        for binding, _, _ in pending:
+            for y in binding:
+                if y not in where:
+                    where[y] = len(atts)
+                    atts.append(y)
+        room = [slack[y] for y in atts]
+        front: dict[tuple[int, ...], tuple | None] = {(0,) * len(atts): None}
+        for binding, entries, piece in pending:
+            slots = [where[y] for y in binding]
+            grown: dict[tuple[int, ...], tuple] = {}
+            for total, chain in front.items():
+                for vec, witness in entries:
+                    t = list(total)
+                    for i, v in zip(slots, vec):
+                        t[i] += v
+                    if all(t[i] <= room[i] for i in slots):
+                        grown.setdefault(tuple(t), (chain, piece, witness))
+            front = {
+                t: chain for t, chain in grown.items()
+                if not any(o != t and all(a <= b for a, b in zip(o, t)) for o in grown)
+            }
+            if not front:
+                return False
+        return atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))
+
+    def search(sid: int, scope: list[int], mark: int, depth: int) -> bool:
+        """Color every vertex of scope sid; `scope` lists them in branching
+        order. True leaves the coloring on the trail, False means there is
+        none; either way the caller undoes to its own mark."""
+        nonlocal nodes, nesting
+        nesting = max(nesting, depth)
+        lp = len(lost)
+        for x in scope:
+            m = allowed[x]
+            if m != full_mask and m & (m - 1) and not color[x]:
+                lost.append(x)
+                trail.append((7, x, 0))
+        # One frame per open choice: [vertex or (attachments, reservations),
+        # untried colors or next reservation, trail mark, scan start, lost
+        # start]. Every vertex before a scan start is colored or in another
+        # scope, and stays so while the search descends.
+        stack: list[list] = []
         start = 0
+        size = len(scope)
+        queue: deque = deque()
         while True:
-            while start < n and color[order[start]]:
-                start += 1
-            if start == n:
-                return SAT, nodes
-            # Propagation has colored every vertex down to one allowed color,
-            # so the first uncolored vertex with two is a minimum.
-            best = order[start]
-            fewest = allowed[best].bit_count()
-            p = start + 1
-            while fewest > 2 and p < n:
-                i = order[p]
-                if color[i] == 0:
-                    count = allowed[i].bit_count()
-                    if count < fewest:
-                        best, fewest = i, count
-                p += 1
-            stack.append([best, allowed[best], len(trail), start])
+            pieces = split(sid, mark)
+            outcome = close(sid, pieces, depth) if pieces else None
+            if outcome is None:
+                while start < size and (color[scope[start]] or owner[scope[start]] != sid):
+                    start += 1
+                if start == size:
+                    for frame in stack:
+                        if type(frame[0]) is tuple:
+                            chain = frame[0][1][frame[1] - 1][1]
+                            while chain:
+                                chain, piece, witness = chain
+                                place(piece, witness)
+                    return True
+                best = scope[start]
+                fewest = allowed[best].bit_count()
+                if fewest > 2:
+                    # Only a vertex that lost a color can have fewer than
+                    # the first uncolored one.
+                    while lp < len(lost) and (color[lost[lp]] or owner[lost[lp]] != sid):
+                        lp += 1
+                    best_rank = rank[best]
+                    for i in range(lp, len(lost)):
+                        x = lost[i]
+                        if color[x] or owner[x] != sid:
+                            continue
+                        count = allowed[x].bit_count()
+                        if count < fewest or (count == fewest and rank[x] < best_rank):
+                            best, fewest, best_rank = x, count, rank[x]
+                stack.append([best, allowed[best], len(trail), start, lp])
+            elif outcome:
+                stack.append([outcome, 0, len(trail), start, lp])
             while stack:
                 frame = stack[-1]
-                x, m, mark, start = frame
-                undo(mark)
-                if not m:
-                    stack.pop()
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    return BUDGET, nodes
-                bit = m & -m  # colors are tried in ascending order
-                frame[1] = m ^ bit
-                queue: deque = deque()
-                if assign(x, bit.bit_length(), queue) and propagate(queue):
+                what, untried, mark, start, lp = frame
+                if len(trail) > mark:
+                    undo(mark)
+                queue.clear()
+                if type(what) is int:
+                    if not untried:
+                        stack.pop()
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise _BudgetStop
+                    bit = untried & -untried  # colors are tried in ascending order
+                    frame[1] = untried ^ bit
+                    ok = assign(what, bit.bit_length(), queue)
+                else:
+                    atts, reservations = what
+                    if untried == len(reservations):
+                        stack.pop()
+                        continue
+                    if len(reservations) > 1:
+                        nodes += 1
+                        if nodes > budget:
+                            raise _BudgetStop
+                    frame[1] = untried + 1
+                    ok = all(restrict(y, slack[y] - r, sid, queue)
+                             for y, r in zip(atts, reservations[untried][0]) if r)
+                if ok and propagate(queue):
                     break
             else:
-                return UNSAT, nodes
+                return False
 
     # Seed: forced colors, then vertices already down to one allowed color.
-    queue: deque = deque()
-    for v, c in cons.forced.items():
-        queue.append((vindex[v], c))
-    for i in range(n):
-        m = allowed[i]
-        if m == 0:
-            return SolveOutcome.unsat(0)
-        if m & (m - 1) == 0:
-            queue.append((i, m.bit_length()))
-    if not propagate(queue):
-        return SolveOutcome.unsat(0)
-
-    result, nodes = search()
-    if result == SAT:
-        return SolveOutcome.sat({verts[i]: color[i] for i in range(n)}, nodes)
-    if result == UNSAT:
-        return SolveOutcome.unsat(nodes)
-    return SolveOutcome.budget(nodes)
+    queue: deque = deque((vindex[v], c) for v, c in cons.forced.items())
+    queue.extend((i, m.bit_length()) for i, m in enumerate(allowed) if m and not m & (m - 1))
+    try:
+        if 0 in allowed or not propagate(queue):
+            result = UNSAT
+        else:
+            result = SAT if search(0, order, 0, 0) else UNSAT
+    except _BudgetStop:
+        result = BUDGET
+    finally:
+        # search, close and profile call each other, so their closures form
+        # a cycle; breaking it lets reference counting free the solver state
+        # now instead of leaving it to the cyclic garbage collector.
+        search = close = profile = None
+    stats = {
+        "decisions": nodes,
+        "pieces_closed": closed,
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "max_nesting": nesting,
+    }
+    coloring = {verts[i]: color[i] for i in range(n)} if result == SAT else None
+    return SolveOutcome(result, coloring, nodes, stats)
 
 
 def brute_force_oracle(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from defcol import make_graph
+from defcol import ConstraintSet, make_graph
 
 
 @st.composite
@@ -26,6 +26,43 @@ def graphs_with_edge(draw, max_n=7):
         i = draw(st.integers(0, g.vertex_count - 2))
         return make_graph(g.vertex_count, [(i, i + 1)]), (i, i + 1)
     return g, draw(st.sampled_from(edges))
+
+
+@st.composite
+def blocks_and_separators(draw):
+    """Small connected blocks (up to 5 vertices each) that meet only in 1-3
+    shared separator vertices with forced colors, at a spec of up to 3
+    colors.
+
+    The blocks become separate pieces competing for the separators' slack,
+    and a block often repeats the previous one, so profiles are cached too.
+    Free vertices stay few enough for the brute-force oracle.
+    """
+    k = draw(st.integers(1, 3))
+    spec = tuple(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    seps = draw(st.integers(1, 3))
+    room = {1: 12, 2: 10, 3: 7}[k]
+    sep_pairs = [(a, b) for a in range(seps) for b in range(a + 1, seps)]
+    edges = set(draw(st.lists(st.sampled_from(sep_pairs), unique=True))) if sep_pairs else set()
+    n = seps
+    block: set[tuple[int, int]] = set()
+    size = 0
+    for _ in range(draw(st.integers(2, 5))):
+        if not block or draw(st.integers(0, 2)) == 0:
+            size = draw(st.integers(1, 5))
+            # a spanning tree keeps the block connected; separators are -1..-seps
+            block = {(draw(st.integers(0, b - 1)), b) for b in range(1, size)}
+            inner = [(a, b) for a in range(size) for b in range(a + 1, size)]
+            block |= set(draw(st.lists(st.sampled_from(inner), unique=True))) if inner else set()
+            for s in draw(st.lists(st.integers(0, seps - 1), min_size=1, unique=True)):
+                touched = draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+                block |= {(-1 - s, b) for b in touched}
+        if n - seps + size > room:
+            break
+        edges |= {(a + n if a >= 0 else -1 - a, b + n) for a, b in block}
+        n += size
+    forced = {s: draw(st.integers(1, k)) for s in range(seps)}
+    return make_graph(n, sorted(edges)), spec, ConstraintSet(forced=forced)
 
 
 SPECS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2)]

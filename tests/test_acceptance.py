@@ -218,3 +218,14 @@ def test_criterion_8_structural_validators():
     assert check_bad2_face_degrees(k3).status == "degenerate"
     assert check_vertex_profiles(k3).status == "degenerate"
     report("C8", "validators pass or flag degenerate on every fixture; K3 is degenerate", started)
+
+
+def test_criterion_9_non_1k_family():
+    started = time.time()
+    for k in (2, 3):
+        gadget = non_1k(k)
+        outcome = solve(gadget.graph, (1, k), budget=10**4)
+        assert outcome.is_unsat, k
+    elapsed = time.time() - started
+    assert elapsed < 60
+    report("C9", "non_1k(2) and non_1k(3) certified unsat for defects (1,k)", started)

@@ -99,6 +99,67 @@ class TestSolveCommand:
         assert code == 2
 
 
+    def test_stats_are_reported(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "solve", "--graph", k4_file(tmp_path), "--spec", "0,1")
+        doc = json.loads(out)
+        assert code == 10
+        assert set(doc) == {"format", "outcome", "coloring", "nodes", "budget", "stats"}
+        assert doc["stats"] == {"decisions": doc["nodes"], "pieces_closed": 0,
+                                "cache_hits": 0, "cache_misses": 0, "max_nesting": 0}
+
+
+class TestForcedColors:
+    def huv(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gadget", "huv", "--out", str(tmp_path / "huv"))
+        assert code == 0
+        return str(tmp_path / "huv.graph")
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_two_colors_forced_on_one_vertex_exit_two(self, tmp_path, capsys, command):
+        path = self.huv(tmp_path, capsys)
+        code, out, err = run(capsys, command, "--graph", path, "--spec", "1,1",
+                             "--force", "u=1", "--force", "u=2")
+        assert code == 2
+        assert out == ""
+        assert err == "defcol: error: vertex 0 is forced to both 1 and 2\n"
+
+    def test_label_and_index_naming_one_vertex_conflict(self, tmp_path, capsys):
+        path = self.huv(tmp_path, capsys)
+        code, _, err = run(capsys, "solve", "--graph", path, "--spec", "1,1",
+                           "--force", "u=1", "--force", "0=2")
+        assert code == 2
+        assert "forced to both" in err
+
+    def test_identical_repeat_is_allowed(self, tmp_path, capsys):
+        path = self.huv(tmp_path, capsys)
+        code, out, _ = run(capsys, "solve", "--graph", path, "--spec", "1,1",
+                           "--force", "u=2", "--force", "u=2")
+        assert code == 0
+        assert json.loads(out)["coloring"]["0"] == 2
+
+
+class TestOutputErrors:
+    """An output path that cannot be written exits 2 with a one-line message."""
+
+    @pytest.mark.parametrize("command", ["gadget", "reduce", "emit-cnf", "audit"])
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, command):
+        target = str(tmp_path / "missing" / "x")
+        emb = tmp_path / "k3.emb"
+        emb.write_text(dump_embedding(k3_embedding()))
+        argv = {
+            "gadget": ["gadget", "huv", "--out", target],
+            "reduce": ["reduce", "--graph", c5_file(tmp_path), "--k", "2", "--out", target],
+            "emit-cnf": ["solve", "--graph", c5_file(tmp_path), "--spec", "0,1",
+                         "--emit-cnf", target],
+            "audit": ["audit", "--embedding", str(emb), "--ruleset", "44", "--out", target],
+        }[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("defcol: error: cannot write ")
+        assert err.count("\n") == 1
+
+
 class TestOracleCommand:
     def test_matches_solve(self, tmp_path, capsys):
         path = k4_file(tmp_path)

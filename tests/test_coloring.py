@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from defcol import (
 from defcol.cli import main
 
 from corpus import fused_hexagons
-from strategies import SPECS, graphs
+from strategies import SPECS, blocks_and_separators, graphs
 
 
 def k_n(n):
@@ -230,20 +231,24 @@ def path_graph(n):
 
 class TestSearchPins:
     """The decision sequence is part of the contract: node counts and sat
-    witnesses match those of the recursive solver the search replaced."""
+    witnesses are pinned exactly."""
 
-    @pytest.mark.parametrize("k, nodes", [(1, 12), (2, 80), (3, 574), (4, 3770), (5, 25374)])
+    @pytest.mark.parametrize("k, nodes", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)])
     def test_hub_lemma_node_counts(self, k, nodes):
         hub = hub_gadget(k)
         cons = ConstraintSet(forced={hub.terminals["z"]: 2, hub.terminals["x1"]: 2})
         out = solve(hub.graph, (1, k), cons, budget=10**6)
         assert out.is_unsat
         assert out.nodes == nodes
+        # The 2k+1 copies between z and x1 close off at the root and share
+        # one profile; no two fit the slack of z and x1 together.
+        assert out.stats == {"decisions": nodes, "pieces_closed": 2 * k + 1,
+                             "cache_hits": 2 * k, "cache_misses": 1, "max_nesting": 1}
 
     def test_non_1k_unsat_node_count(self):
         out = solve(non_1k(1).graph, (1, 1), budget=10**6)
         assert out.is_unsat
-        assert out.nodes == 1190
+        assert out.nodes == 27
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_non_1k_sat_witness(self, k):
@@ -251,6 +256,7 @@ class TestSearchPins:
         g = non_1k(k).graph
         out = solve(g, (1, k + 1), budget=10**6)
         assert out.is_sat
+        assert is_valid_coloring(g, (1, k + 1), out.coloring)
         assert out.nodes == pin["nodes"]
         assert "".join(str(out.coloring[v]) for v in g.vertices) == pin["coloring"]
 
@@ -258,7 +264,8 @@ class TestSearchPins:
         g = path_graph(100_000)
         out = solve(g, (2, 2), budget=10**6)
         assert out.is_sat
-        assert out.nodes == 100_000
+        # Vertex 0 splits off after the first decision and takes a free color.
+        assert out.nodes == 99_999
         assert is_valid_coloring(g, (2, 2), out.coloring)
 
     @pytest.mark.parametrize("g", [path_graph(1500), fused_hexagons(400).graph],
@@ -272,3 +279,110 @@ class TestSearchPins:
         assert doc["outcome"] == "sat"
         coloring = {g.vertices[int(i)]: c for i, c in doc["coloring"].items()}
         assert is_valid_coloring(g, (2, 2), coloring)
+
+
+class TestComponentProfiles:
+    @pytest.mark.parametrize("k, nodes", [(1, 27), (2, 27), (3, 29), (4, 31), (5, 31), (6, 31)])
+    def test_non_1k_has_no_1k_coloring(self, k, nodes):
+        out = solve(non_1k(k).graph, (1, k), budget=10**4)
+        assert out.is_unsat
+        assert out.nodes == nodes
+
+    def test_budget_stop_inside_a_sub_search_is_never_unsat(self):
+        g = non_1k(2).graph
+        full = solve(g, (1, 2), budget=10**4)
+        assert full.is_unsat
+        for budget in range(1, full.nodes):
+            out = solve(g, (1, 2), budget=budget)
+            assert out.exceeded_budget, budget
+            assert out.nodes == budget + 1
+        assert solve(g, (1, 2), budget=full.nodes) == full
+
+    def test_cache_needs_the_whole_local_instance(self):
+        hub = hub_gadget(2)
+        forced = {hub.terminals["z"]: 2, hub.terminals["x1"]: 2}
+        # One copy has a vertex barred from color 2: another local instance.
+        cons = ConstraintSet(forced=forced, forbidden={"h1_3_a": frozenset({2})})
+        out = solve(hub.graph, (1, 2), cons, budget=10**6)
+        assert out.is_unsat
+        assert (out.stats["cache_hits"], out.stats["cache_misses"]) == (3, 2)
+
+    def test_same_shape_with_other_allowed_colors_is_another_instance(self):
+        # Three triangles on s and a tail; color 3 is barred from the last
+        # two triangles, so each of them needs one unit of s's slack.
+        g = make_graph(10, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
+                            (0, 5), (0, 6), (5, 6), (0, 7), (7, 8), (8, 9)])
+        barred = {v: frozenset({3}) for v in (3, 4, 5, 6)}
+        cons = ConstraintSet(forced={0: 1}, forbidden=barred)
+        assert brute_force_oracle(g, (1, 0, 0), cons).is_unsat
+        out = solve(g, (1, 0, 0), cons, budget=10**6)
+        assert out.is_unsat
+        assert (out.stats["cache_hits"], out.stats["cache_misses"]) == (1, 2)
+
+    def test_same_shape_with_other_private_slack_is_another_instance(self):
+        # Three edges hang off s (color 1) and off their own t (color 2).
+        # The first and last t have a forced same-colored neighbor, so they
+        # have one unit of slack where the middle one has two.
+        g = make_graph(12, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4),
+                            (0, 6), (0, 7), (5, 6), (5, 7), (6, 7),
+                            (0, 10), (0, 11), (8, 9), (8, 10), (8, 11), (10, 11)])
+        cons = ConstraintSet(forced={0: 1, 1: 2, 2: 2, 5: 2, 8: 2, 9: 2})
+        out = solve(g, (2, 2), cons, budget=10**6)
+        assert out.is_sat
+        assert is_valid_coloring(g, (2, 2), out.coloring)
+        assert out.stats["cache_misses"] == 2
+
+    def test_reserved_slack_is_shared_between_pieces(self):
+        # Two triangles on s, barred from color 3, each need one unit of
+        # s's slack for color 1; the tail 5-6-7 stays on the main line and
+        # must leave s that much.
+        g = make_graph(8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (5, 6),
+                           (6, 7)])
+        barred = {v: frozenset({3}) for v in (1, 2, 3, 4)}
+        cons = ConstraintSet(forced={0: 1}, forbidden=barred)
+        for spec, status in [((1, 0, 0), "unsat"), ((2, 0, 0), "sat"), ((3, 0, 0), "sat")]:
+            out = solve(g, spec, cons, budget=10**6)
+            assert out.status == brute_force_oracle(g, spec, cons).status == status, spec
+            assert out.stats["pieces_closed"] == 2
+            if out.is_sat:
+                assert is_valid_coloring(g, spec, out.coloring)
+                assert sum(out.coloring[v] == 1 for v in (1, 2, 3, 4, 5)) <= spec[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks_and_separators())
+    def test_blocks_and_separators_agree_with_oracle(self, instance):
+        g, spec, cons = instance
+        out = solve(g, spec, cons, budget=10**7)
+        assert out.status == brute_force_oracle(g, spec, cons).status
+        if out.is_sat:
+            assert is_valid_coloring(g, spec, out.coloring)
+            assert all(out.coloring[v] == c for v, c in cons.forced.items())
+            assert all(out.coloring[v] not in cs for v, cs in cons.forbidden.items())
+
+
+def best_times(graphs, spec, repeats=5):
+    """Fastest of `repeats` solves of each graph, taken in turns so that a
+    change in machine speed affects every graph alike."""
+    best = [float("inf")] * len(graphs)
+    for _ in range(repeats):
+        for i, g in enumerate(graphs):
+            started = time.perf_counter()
+            out = solve(g, spec, budget=10**6)
+            best[i] = min(best[i], time.perf_counter() - started)
+            assert out.is_sat
+    return best
+
+
+class TestScaling:
+    """Doubling the input at most about doubles the solve time: neither the
+    branching pick nor the split detection rescans the graph."""
+
+    @pytest.mark.parametrize("make, small, spec", [
+        (path_graph, 2000, (1, 1, 1)),
+        (path_graph, 2000, (2, 2)),
+        (lambda n: fused_hexagons(n).graph, 250, (2, 2)),
+        (lambda n: fused_hexagons(n).graph, 250, (1, 1)),
+    ], ids=["path_111", "path_22", "hex_22", "hex_11"])
+    def test_doubling(self, make, small, spec):
+        once, twice = best_times([make(small), make(2 * small)], spec)
+        assert twice <= 3 * once
