@@ -24,8 +24,14 @@ UNSAT = "unsat"
 BUDGET = "budget"
 
 # Most budget vectors a closed piece's profile may range over; a piece that
-# would need more stays on the main line, which is always sound.
-PROFILE_MAX_BUDGETS = 64
+# would need more stays on the main line, which is always sound. A profile
+# costs up to this many exhaustive sub-searches of the piece. The hub
+# gadget's linked-triangle copies, the piece the paper's constructions
+# repeat, need 9 (two attachments, demand 2 each). Above 16 the pieces of
+# non_1k(k) and np_reduce are single large blocks: np_reduce(non_1k(1), 2)
+# has a 117-vertex piece with 19 budgets that all fail, which took most of
+# the solve's time when it was profiled.
+PROFILE_MAX_BUDGETS = 16
 
 
 class BudgetExceededError(RuntimeError):
@@ -86,7 +92,8 @@ class SolveOutcome:
     coloring: dict[Vertex, int] | None
     nodes: int
     # Search statistics from `solve`: decisions (equal to nodes),
-    # pieces_closed, cache_hits, cache_misses and max_nesting.
+    # pieces_closed, cache_hits, cache_misses, max_nesting and
+    # split_visits (vertices the piece searches reached beyond their seeds).
     stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
@@ -151,13 +158,6 @@ def _validate_constraints(g: Graph, spec: ColoringSpec, cons: ConstraintSet) -> 
             raise ValueError(f"vertex {v!r} has its forced color forbidden")
 
 
-def _root(group: list[int], s: int) -> int:
-    """Union-find root with path halving."""
-    while group[s] != s:
-        group[s] = s = group[group[s]]
-    return s
-
-
 def solve(
     g: Graph,
     spec: ColoringSpec | Iterable[int],
@@ -174,13 +174,15 @@ def solve(
     which is the propagation that carries the search. Decisions live on an
     explicit stack over an undo trail.
 
-    After every decision and its propagation the search checks whether the
-    uncolored vertices around the newly colored ones fell apart into
-    *pieces*. The largest piece stays on the main line; every other piece
-    is closed off. A piece touches the rest of the graph only through its
-    colored neighbors, its *attachments*. An attachment is *binding* when
-    it borders two or more pieces that can take its color and has less
-    slack than their combined demand for it.
+    After every decision and its propagation that touched two or more
+    uncolored vertices, the search checks whether the uncolored vertices
+    around the newly colored ones fell apart into *pieces*. A lone vertex
+    whose neighbors are all colored takes a color none of them has, if
+    there is one. Of the other pieces the largest stays on the main line;
+    every other piece is closed off. A piece touches the rest of the graph
+    only through its colored neighbors, its *attachments*. An attachment
+    is *binding* when it borders two or more pieces that can take its
+    color and has less slack than their combined demand for it.
 
     * A piece with no binding attachment is searched at once, in place.
     * Otherwise its *profile* is computed: the Pareto-minimal budgets of
@@ -246,9 +248,11 @@ def solve(
     lost: list[int] = []
     stamp = [0] * n  # split(): the epoch that last reached a vertex
     reached_by = [0] * n  # split(): the search that reached it
-    seeds: list[int] = []  # split(): the vertices its searches start from
     cache: dict[tuple, list] = {}
-    nodes = closed = hits = misses = nesting = scopes = epoch = 0
+    nodes = closed = hits = misses = nesting = scopes = epoch = visits = 0
+    # Colored-neighbor counts raised since the current decision began: with
+    # fewer than two, nothing can have fallen apart and split() is skipped.
+    fresh = 0
 
     def forbid(x: int, c: int, queue: deque) -> bool:
         bit = 1 << (c - 1)
@@ -268,6 +272,7 @@ def solve(
         return True
 
     def assign(x: int, c: int, queue: deque) -> bool:
+        nonlocal fresh
         ci = c - 1
         trail.append((0, x, 0))
         color[x] = c
@@ -287,6 +292,7 @@ def solve(
                         if color[z] == 0 and owner[z] == sid and not forbid(z, c, queue):
                             return False
             elif cy == 0:
+                fresh += 1
                 j = y * k + ci
                 ncc[j] += 1
                 trail.append((3, y, ci))
@@ -356,155 +362,123 @@ def solve(
         each in branching order; empty when nothing fell apart.
 
         One BFS starts from each uncolored neighbor of those vertices that
-        has an uncolored neighbor itself, adjacent ones sharing a search;
-        the others are pieces of one vertex. The searches advance a vertex
-        at a time in turn and merge when they meet, until at most one is
-        still growing and it has outgrown every finished one. A finished
-        search has traced a whole piece, so the cost is the size of the
-        pieces returned, not of the scope.
+        has an uncolored neighbor itself; one whose first uncolored
+        neighbor is an earlier seed joins that seed's search instead. The
+        others are pieces of one vertex; one that has a color none of
+        its neighbors has takes it at once and is not returned. The
+        searches advance a vertex at a time in turn, and two groups of
+        searches merge when they meet, until one group is left, or one is
+        still growing and has outgrown every finished one. A finished group
+        has traced a whole piece, so no search expands more vertices than
+        the largest piece returned, whatever the size of the scope.
         """
-        nonlocal epoch
+        nonlocal epoch, visits, closed
         epoch += 1
         e = epoch
-        seeds.clear()
+        seeds = []
         # Assigning a vertex raised the colored-neighbor count (tag 3) of
         # each of its uncolored neighbors, which share its scope.
-        for t in range(mark, len(trail)):
-            tag, y, _ = trail[t]
+        for tag, y, _ in trail[mark:]:
             if tag == 3 and stamp[y] != e and not color[y]:
                 stamp[y] = e
-                reached_by[y] = -2
+                reached_by[y] = -1
                 seeds.append(y)
         if len(seeds) < 2:
             return ()
-        count = alone = 0  # searches; seeds with every neighbor colored
+        queues: list[list[int]] = []
+        pieces: list[list[int]] = []  # seeds with every neighbor colored, no color free
         for y in seeds:
-            r = -1
             for z in adj[y]:
                 if not color[z]:
                     if stamp[z] == e and reached_by[z] >= 0:
                         r = reached_by[z]  # an adjacent seed: one search serves both
-                        break
-                    r = count
-            reached_by[y] = r
-            if r < 0:
-                alone += 1
-            elif r == count:
-                count += 1
-        if count < 2 and not alone:
-            return ()
-        queues: list[list[int]] = [[] for _ in range(count)]
-        lone: list[list[int]] = []
-        for y in seeds:
-            if reached_by[y] < 0:
-                lone.append([y])
+                        queues[r].append(y)
+                    else:
+                        r = len(queues)
+                        queues.append([y])
+                    reached_by[y] = r
+                    break
             else:
-                queues[reached_by[y]].append(y)
+                # Every neighbor is colored: a color none of them has costs
+                # nobody slack, so it is taken now.
+                free = allowed[y]
+                for z in adj[y]:
+                    free &= ~(1 << (color[z] - 1))
+                if free:
+                    closed += 1
+                    place((y,), ((free & -free).bit_length(),))
+                else:
+                    pieces.append([y])
+        count = len(queues)
         if count < 2:
             # A seed with an uncolored neighbor outgrows every lone one.
-            return lone[count == 0:]
+            return pieces[count == 0:]
         heads = [0] * count
-        if count == 2:
-            # The common case, two searches, without the bookkeeping below
-            # until one of them has traced its whole piece.
-            qa, qb = queues
-            ha = hb = 0
-            while ha < len(qa) and hb < len(qb):
-                for y in adj[qa[ha]]:
-                    if stamp[y] != e:
-                        if not color[y] and owner[y] == sid:
-                            stamp[y] = e
-                            reached_by[y] = 0
-                            qa.append(y)
-                    elif reached_by[y]:
-                        return lone
-                ha += 1
-                for y in adj[qb[hb]]:
-                    if stamp[y] != e:
-                        if not color[y] and owner[y] == sid:
-                            stamp[y] = e
-                            reached_by[y] = 1
-                            qb.append(y)
-                    elif not reached_by[y]:
-                        return lone
-                hb += 1
-            heads = [ha, hb]
-        group = list(range(count))  # union-find; a group's root is its first search
-        busy = [int(h < len(q)) for h, q in zip(heads, queues)]  # at a root: searches growing
-        groups = count
-        growing = sum(busy)
-        active = [s for s in range(count) if busy[s]]
-        members: dict[int, list[int]] = {}  # group root -> its searches, once one grows alone
-        live = -1  # the root of the group still growing
-        while active:
-            if growing == 1:
-                if groups == 1:
-                    return lone
-                if not members:
-                    for s in range(count):
-                        members.setdefault(_root(group, s), []).append(s)
-                    live = _root(group, active[0])
-                    largest = max(sum([len(queues[s]) for s in m])
-                                  for r, m in members.items() if r != live)
-                if sum([len(queues[s]) for s in members[live]]) >= largest:
-                    break
+        gid = list(range(count))  # search -> its group
+        members = [[s] for s in gid]  # group -> its searches
+        busy = [1] * count  # group -> its searches still growing
+        groups = growing = count
+        active = gid[:]
+        reached = 0  # vertices the searches added
+        need = -1  # once at most one group grows: its size target
+        while True:
             still = []
             for s in active:
+                g = gid[s]
                 q = queues[s]
                 h = heads[s]
-                heads[s] = h + 1
                 for y in adj[q[h]]:
                     if stamp[y] != e:
-                        if not color[y] and owner[y] == sid:
+                        if not color[y]:
                             stamp[y] = e
                             reached_by[y] = s
                             q.append(y)
-                    elif reached_by[y] != s:
-                        a, b = _root(group, s), _root(group, reached_by[y])
-                        if a != b:
-                            # A finished group is a whole piece, so both still grow.
-                            if b < a:
-                                a, b = b, a
-                            group[b] = a
-                            busy[a] += busy[b]
-                            groups -= 1
-                            growing -= 1
+                            reached += 1
+                    elif gid[reached_by[y]] != g:
+                        # A finished group is a whole piece, so both still grow.
+                        a, b = g, gid[reached_by[y]]
+                        if len(members[a]) < len(members[b]):
+                            a, b = b, a
+                        for t in members[b]:
+                            gid[t] = a
+                        members[a] += members[b]
+                        busy[a] += busy[b]
+                        groups -= 1
+                        if groups == 1:
+                            visits += reached
+                            return pieces
+                        growing -= 1
+                        g = a
+                heads[s] = h + 1
                 if h + 1 < len(q):
                     still.append(s)
                 else:
-                    r = _root(group, s)
-                    busy[r] -= 1
-                    if not busy[r]:
+                    busy[g] -= 1
+                    if not busy[g]:
                         growing -= 1
             active = still
-        if groups == 1:
-            return lone
-        if not active:
-            members.clear()
-            for s in range(count):
-                members.setdefault(_root(group, s), []).append(s)
-            live = max(members, key=lambda r: sum([len(queues[s]) for s in members[r]]))
-        return lone + [sorted([y for s in m for y in queues[s]], key=rank.__getitem__)
-                       for r, m in members.items() if r != live]
+            if growing < 2:
+                if need < 0:
+                    # Nothing can meet the one group still growing, if any;
+                    # it grows on until it is the largest.
+                    size: dict[int, int] = {}
+                    for s in range(count):
+                        size[gid[s]] = size.get(gid[s], 0) + len(queues[s])
+                    live = gid[active[0]] if active else max(size, key=size.__getitem__)
+                    need = max([m for g, m in size.items() if g != live]) + reached - size[live]
+                if not active or reached >= need:
+                    break
+        visits += reached
+        return pieces + [sorted([y for s in members[g] for y in queues[s]], key=rank.__getitem__)
+                         for g in size if g != live]
 
     def close(sid: int, pieces: list[list[int]], depth: int):
         """Close off split()'s pieces. Returns None when none is left
         pending, False on a conflict, else (attachments, reservations)."""
-        nonlocal closed, scopes
+        nonlocal closed
         demand: dict[int, int] = {}
         plans = []
         for piece in pieces:
-            if len(piece) == 1:
-                # A lone vertex whose neighbors are all colored: a color
-                # none of them has costs nobody slack, so it is taken now.
-                x = piece[0]
-                free = allowed[x]
-                for y in adj[x]:
-                    free &= ~(1 << (color[y] - 1))
-                if free:
-                    closed += 1
-                    place(piece, ((free & -free).bit_length(),))
-                    continue
             atts: dict[int, int] = {}  # attachment -> the piece's demand for its color
             for x in piece:
                 m = allowed[x]
@@ -529,34 +503,39 @@ def solve(
             # A piece with too many budgets to try stays on the main line.
             if box <= PROFILE_MAX_BUDGETS:
                 plans.append((piece, atts, binding))
-        scoped = []
-        for piece, atts, binding in plans:
-            scopes += 1
-            for x in piece:
-                trail.append((6, x, sid))
-                owner[x] = scopes
-            scoped.append((scopes, piece, atts, binding))
-        closed += len(scoped)
+        closed += len(plans)
         pending = []
-        for psid, piece, atts, binding in scoped:
+        for piece, atts, binding in plans:
             if not binding:
-                if not search(psid, piece, len(trail), depth + 1):
+                if not search(rescope(sid, piece), piece, len(trail), depth + 1):
                     return False
                 continue
-            entries = profile(psid, piece, atts, binding, depth + 1)
+            entries = profile(sid, piece, atts, binding, depth + 1)
             if not entries:
                 return False
             if any(entries[0][0]):
+                if owner[piece[0]] == sid:
+                    rescope(sid, piece)  # the main line must leave it alone
                 pending.append((binding, entries, piece))
             else:
                 # It needs none of the contested slack: place it now.
                 place(piece, entries[0][1])
         return knapsack(pending) if pending else None
 
-    def profile(psid: int, piece: list[int], atts: dict[int, int], binding: list[int],
+    def rescope(sid: int, piece: list[int]) -> int:
+        """Move a piece from scope sid to a new scope of its own."""
+        nonlocal scopes
+        scopes += 1
+        for x in piece:
+            trail.append((6, x, sid))
+            owner[x] = scopes
+        return scopes
+
+    def profile(sid: int, piece: list[int], atts: dict[int, int], binding: list[int],
                 depth: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Pareto-minimal budget vectors over a piece's binding attachments
-        under which it has a coloring, each with that coloring."""
+        under which it has a coloring, each with that coloring. A piece
+        whose profile is computed moves to a scope of its own."""
         nonlocal hits, misses
         pos = {y: -1 - j for j, y in enumerate(atts)}
         pos.update((x, i) for i, x in enumerate(piece))
@@ -573,6 +552,7 @@ def solve(
             hits += 1
             return entries
         misses += 1
+        psid = rescope(sid, piece)
         entries = []
         budgets = product(*(range(atts[y] + 1) for y in binding))
         # By increasing total, a success consumes exactly its budget: any
@@ -623,7 +603,8 @@ def solve(
         """Color every vertex of scope sid; `scope` lists them in branching
         order. True leaves the coloring on the trail, False means there is
         none; either way the caller undoes to its own mark."""
-        nonlocal nodes, nesting
+        nonlocal nodes, nesting, fresh
+        fresh = len(trail) - mark  # bounds the caller's raised counts
         nesting = max(nesting, depth)
         lp = len(lost)
         for x in scope:
@@ -640,7 +621,7 @@ def solve(
         size = len(scope)
         queue: deque = deque()
         while True:
-            pieces = split(sid, mark)
+            pieces = split(sid, mark) if fresh > 1 else ()
             outcome = close(sid, pieces, depth) if pieces else None
             if outcome is None:
                 while start < size and (color[scope[start]] or owner[scope[start]] != sid):
@@ -677,6 +658,7 @@ def solve(
                 if len(trail) > mark:
                     undo(mark)
                 queue.clear()
+                fresh = 0
                 if type(what) is int:
                     if not untried:
                         stack.pop()
@@ -725,6 +707,7 @@ def solve(
         "cache_hits": hits,
         "cache_misses": misses,
         "max_nesting": nesting,
+        "split_visits": visits,
     }
     coloring = {verts[i]: color[i] for i in range(n)} if result == SAT else None
     return SolveOutcome(result, coloring, nodes, stats)

@@ -105,7 +105,8 @@ class TestSolveCommand:
         assert code == 10
         assert set(doc) == {"format", "outcome", "coloring", "nodes", "budget", "stats"}
         assert doc["stats"] == {"decisions": doc["nodes"], "pieces_closed": 0,
-                                "cache_hits": 0, "cache_misses": 0, "max_nesting": 0}
+                                "cache_hits": 0, "cache_misses": 0, "max_nesting": 0,
+                                "split_visits": 0}
 
 
 class TestForcedColors:

@@ -21,6 +21,7 @@ from defcol import (
     solve,
     triangle_link,
 )
+from defcol import coloring
 from defcol.cli import main
 
 from corpus import fused_hexagons
@@ -243,12 +244,13 @@ class TestSearchPins:
         # The 2k+1 copies between z and x1 close off at the root and share
         # one profile; no two fit the slack of z and x1 together.
         assert out.stats == {"decisions": nodes, "pieces_closed": 2 * k + 1,
-                             "cache_hits": 2 * k, "cache_misses": 1, "max_nesting": 1}
+                             "cache_hits": 2 * k, "cache_misses": 1, "max_nesting": 1,
+                             "split_visits": 8 * k + 5}
 
     def test_non_1k_unsat_node_count(self):
         out = solve(non_1k(1).graph, (1, 1), budget=10**6)
         assert out.is_unsat
-        assert out.nodes == 27
+        assert out.nodes == 18
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_non_1k_sat_witness(self, k):
@@ -282,7 +284,7 @@ class TestSearchPins:
 
 
 class TestComponentProfiles:
-    @pytest.mark.parametrize("k, nodes", [(1, 27), (2, 27), (3, 29), (4, 31), (5, 31), (6, 31)])
+    @pytest.mark.parametrize("k, nodes", [(1, 18), (2, 59), (3, 59), (4, 59), (5, 59), (6, 59)])
     def test_non_1k_has_no_1k_coloring(self, k, nodes):
         out = solve(non_1k(k).graph, (1, k), budget=10**4)
         assert out.is_unsat
@@ -348,6 +350,43 @@ class TestComponentProfiles:
                 assert is_valid_coloring(g, spec, out.coloring)
                 assert sum(out.coloring[v] == 1 for v in (1, 2, 3, 4, 5)) <= spec[0]
 
+    def test_largest_piece_stays_on_the_main_line(self):
+        # Forcing s (vertex 0) splits a 13-vertex star, reached by four
+        # searches from 1..4, from the 8-vertex path 14..21, reached by one.
+        # The star's searches finish first, with its hub 5 and leaves 6..13;
+        # the path's search must then walk to the end of the path to find
+        # that the star is larger, so the path is the piece closed off.
+        edges = [(0, 14)] + [(i, i + 1) for i in range(14, 21)]
+        for i in (1, 2, 3, 4):
+            edges += [(0, i), (i, 5), (i, 2 * i + 4), (i, 2 * i + 5)]
+        g = make_graph(22, edges)
+        out = solve(g, (2, 2), ConstraintSet(forced={0: 1}), budget=10**6)
+        assert out.is_sat
+        assert is_valid_coloring(g, (2, 2), out.coloring)
+        assert out.stats["split_visits"] == 9 + 7
+
+    @pytest.mark.parametrize("spec", [(1, 0), (2, 1), (1, 1, 0)])
+    def test_piece_with_too_many_budgets_stays_on_the_main_line(self, spec, monkeypatch):
+        # Two copies of a 6-vertex path, each tied to three forced
+        # separators by two vertices apiece: a copy's profile would range
+        # over 3 * 3 * 3 = 27 budget vectors, more than the limit.
+        edges = []
+        for base in (3, 9):
+            edges += [(base + i, base + i + 1) for i in range(5)]
+            edges += [(s, base + 2 * s + j) for s in range(3) for j in range(2)]
+        g = make_graph(15, edges)
+        cons = ConstraintSet(forced={0: 1, 1: 1, 2: 1})
+        assert coloring.PROFILE_MAX_BUDGETS < 27
+        kept = solve(g, spec, cons, budget=10**6)
+        monkeypatch.setattr(coloring, "PROFILE_MAX_BUDGETS", 27)
+        profiled = solve(g, spec, cons, budget=10**6)
+        assert kept.status == profiled.status == brute_force_oracle(g, spec, cons).status
+        assert (kept.stats["cache_misses"], profiled.stats["cache_misses"]) == (0, 1)
+        assert profiled.stats["pieces_closed"] == kept.stats["pieces_closed"] + 1
+        for out in (kept, profiled):
+            if out.is_sat:
+                assert is_valid_coloring(g, spec, out.coloring)
+
     @settings(max_examples=150, deadline=None)
     @given(blocks_and_separators())
     def test_blocks_and_separators_agree_with_oracle(self, instance):
@@ -360,7 +399,7 @@ class TestComponentProfiles:
             assert all(out.coloring[v] not in cs for v, cs in cons.forbidden.items())
 
 
-def best_times(graphs, spec, repeats=5):
+def best_times(graphs, spec, repeats):
     """Fastest of `repeats` solves of each graph, taken in turns so that a
     change in machine speed affects every graph alike."""
     best = [float("inf")] * len(graphs)
@@ -373,16 +412,30 @@ def best_times(graphs, spec, repeats=5):
     return best
 
 
+def cycle_graph(n):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 class TestScaling:
-    """Doubling the input at most about doubles the solve time: neither the
+    """Doubling the input at most about doubles the work: neither the
     branching pick nor the split detection rescans the graph."""
+
+    def test_pick_with_three_colors_is_linear(self):
+        # A pick that rescanned the static order would take 4x as long.
+        once, twice = best_times([path_graph(4000), path_graph(8000)], (1, 1, 1), repeats=7)
+        assert twice <= 3 * once
 
     @pytest.mark.parametrize("make, small, spec", [
         (path_graph, 2000, (1, 1, 1)),
         (path_graph, 2000, (2, 2)),
+        (cycle_graph, 1001, (2, 2)),
         (lambda n: fused_hexagons(n).graph, 250, (2, 2)),
         (lambda n: fused_hexagons(n).graph, 250, (1, 1)),
-    ], ids=["path_111", "path_22", "hex_22", "hex_11"])
-    def test_doubling(self, make, small, spec):
-        once, twice = best_times([make(small), make(2 * small)], spec)
-        assert twice <= 3 * once
+    ], ids=["path_111", "path_22", "cycle_22", "hex_22", "hex_11"])
+    def test_split_visits_double(self, make, small, spec):
+        g, g2 = make(small), make(2 * small)
+        once, twice = solve(g, spec, budget=10**6), solve(g2, spec, budget=10**6)
+        assert once.is_sat and twice.is_sat
+        visits = once.stats["split_visits"], twice.stats["split_visits"]
+        assert visits[0] <= 2 * g.vertex_count
+        assert visits[1] <= 2 * visits[0] + 16
