@@ -214,9 +214,10 @@ def _cmd_check(args) -> int:
         doc["girth"] = "infinite" if value == float("inf") else value
     else:
         g = _load_graph_arg(args)
-        doc["c4c5_free"] = is_c4c5_free(g)
-        doc["cycles4"] = len(cycles_of_length(g, 4))
-        doc["cycles5"] = len(cycles_of_length(g, 5))
+        free = is_c4c5_free(g)
+        doc["c4c5_free"] = free
+        doc["cycles4"] = 0 if free else len(cycles_of_length(g, 4))
+        doc["cycles5"] = 0 if free else len(cycles_of_length(g, 5))
     _emit(doc)
     return EXIT_SAT
 

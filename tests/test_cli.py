@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from defcol import dump_embedding, dump_graph, load_graph, make_graph
+from defcol import cycles_of_length, dump_embedding, dump_graph, load_graph, make_graph
 from defcol.cli import main
 
 from corpus import k3_embedding
@@ -230,6 +230,29 @@ class TestCheckCommands:
         path.write_text(dump_graph(make_graph(3, [(0, 1), (1, 2)])))
         code, out, _ = run(capsys, "check", "girth", "--graph", str(path))
         assert json.loads(out)["girth"] == "infinite"
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)]),
+            (9, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]),
+        ],
+        ids=["wheel5", "k4_plus_c5"],
+    )
+    def test_c4c5_counts_when_not_free(self, tmp_path, capsys, n, edges):
+        g = make_graph(n, edges)
+        path = tmp_path / "g.graph"
+        path.write_text(dump_graph(g))
+        code, out, _ = run(capsys, "check", "c4c5", "--graph", str(path))
+        assert code == 0
+        assert json.loads(out) == {
+            "format": "defcol-check v1",
+            "kind": "c4c5",
+            "c4c5_free": False,
+            "cycles4": len(cycles_of_length(g, 4)),
+            "cycles5": len(cycles_of_length(g, 5)),
+        }
 
     def test_lemmas_requires_embedding(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "lemmas", "--graph", c5_file(tmp_path))

@@ -401,6 +401,18 @@ class TestSharedAnalysis:
         assert json.loads(capsys.readouterr().out)["kind"] == "lemmas"
         assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
 
+    def test_each_ledger_summed_once_per_audit(self, monkeypatch):
+        totals = []
+        original = ChargeLedger.total
+
+        def counted(ledger):
+            totals.append(ledger)
+            return original(ledger)
+
+        monkeypatch.setattr(ChargeLedger, "total", counted)
+        build_audit(NON_1K[1], RULES_44)
+        assert len(totals) == 2
+
     def test_rules_never_scan_for_cycles(self, calls):
         classify(NON_1K[1])
         apply_ruleset(NON_1K[1], RULES_35)

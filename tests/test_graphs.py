@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import defcol.graphs as graphs_module
 from defcol import (
     Graph,
     cycles_of_length,
     delete_vertex,
     dump_graph,
     girth,
+    hub_gadget,
     identify,
     is_c4c5_free,
     is_connected,
@@ -174,12 +176,75 @@ class TestCycles:
         assert canonical == cycles_by_permutation(g, length)
 
 
+def wheel(rim):
+    return make_graph(rim + 1, [(i, (i + 1) % rim) for i in range(rim)]
+                      + [(rim, i) for i in range(rim)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return make_graph(10, outer + spokes + inner)
+
+
+@st.composite
+def triangle_rich_graphs(draw, max_n=8):
+    """Unions of triangles and single edges on up to max_n vertices: dense
+    in triangles, which close 4- and 5-cycles only when two of them share an
+    edge or are joined by a short path."""
+    n = draw(st.integers(3, max_n))
+    vertex = st.integers(0, n - 1)
+    triples = draw(st.lists(st.tuples(vertex, vertex, vertex), max_size=4))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+    for a, b, c in triples:
+        edges += [(a, b), (b, c), (a, c)]
+    return make_graph(n, [(a, b) for a, b in edges if a != b])
+
+
 class TestC4C5Free:
     def test_square_is_not(self):
         assert not is_c4c5_free(cycle(4))
 
     def test_hexagon_is(self):
         assert is_c4c5_free(cycle(6))
+
+    @pytest.mark.parametrize(
+        "g,free",
+        [
+            (wheel(5), False),
+            (petersen(), False),  # girth 5
+            (k_n(4), False),
+            (make_graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]), False),
+            (hub_gadget(3).graph, True),
+        ],
+        ids=["wheel5", "petersen", "k4", "c6_long_chord", "hub_gadget3"],
+    )
+    def test_pinned(self, g, free):
+        assert is_c4c5_free(g) is free
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(graphs(max_n=8), triangle_rich_graphs()))
+    def test_agrees_with_permutation_oracle(self, g):
+        edges = g.edges()
+        expected = not cycles_by_permutation(g, 4) and not cycles_by_permutation(g, 5)
+        assert is_c4c5_free(g) is expected
+        assert g.edges() == edges
+
+    def test_never_enumerates_paths(self, monkeypatch):
+        calls = []
+        original = graphs_module._iter_cycles
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(graphs_module, "_iter_cycles", counted)
+        for g in (wheel(5), petersen(), cycle(6), hub_gadget(3).graph):
+            is_c4c5_free(g)
+        assert calls == []
+        cycles_of_length(cycle(6), 4)
+        assert len(calls) == 1
 
     def test_triangle_link_output(self):
         assert is_c4c5_free(triangle_link().graph)
