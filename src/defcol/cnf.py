@@ -71,11 +71,11 @@ def export_cnf(
         for c in sorted(cs):
             clauses.append((-var_map[(v, c)],))
 
-    for v in verts:
-        neighbor_vars = {c: [var_map[(u, c)] for u in g.ordered_neighbors(v)] for c in range(1, k + 1)}
+    for i, v in enumerate(verts):
+        around = g.adjacency[i]
         for c in range(1, k + 1):
             trigger = var_map[(v, c)]
-            ys = neighbor_vars[c]
+            ys = [u * k + c for u in around]
             d = spec.defects[c - 1]
             if len(ys) <= d:
                 continue

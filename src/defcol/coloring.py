@@ -92,8 +92,10 @@ class SolveOutcome:
     coloring: dict[Vertex, int] | None
     nodes: int
     # Search statistics from `solve`: decisions (equal to nodes),
-    # pieces_closed, cache_hits, cache_misses, max_nesting and
-    # split_visits (vertices the piece searches reached beyond their seeds).
+    # pieces_closed, cache_hits, cache_misses, max_nesting, split_visits
+    # (vertices the piece searches reached beyond their seeds) and
+    # pick_scans (vertices the branching picks examined: the static-order
+    # scan, and the entries of `lost` read with three or more colors).
     stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
@@ -134,7 +136,7 @@ def is_valid_coloring(
             raise ValueError(f"color {c} out of range 1..{k}")
     for v in g.vertices:
         c = coloring[v]
-        same = sum(1 for u in g.neighbors(v) if coloring[u] == c)
+        same = sum(1 for u in g.ordered_neighbors(v) if coloring[u] == c)
         if same > defects[c - 1]:
             return False
     return True
@@ -215,9 +217,8 @@ def solve(
     k = spec.k
     verts = g.vertices
     n = len(verts)
-    vindex = {v: i for i, v in enumerate(verts)}
-    index = vindex.__getitem__
-    adj = [tuple(sorted(map(index, g.neighbors(v)))) for v in verts]
+    index = g.index_of
+    adj = g.adjacency
     # Static branching order: highest degree first, then vertex order (the
     # sort is stable).
     order = sorted(range(n), key=[-len(a) for a in adj].__getitem__)
@@ -228,20 +229,18 @@ def solve(
     full_mask = (1 << k) - 1
     allowed = [full_mask] * n
     for v, cs in cons.forbidden.items():
-        m = allowed[vindex[v]]
+        m = allowed[index(v)]
         for c in cs:
             m &= ~(1 << (c - 1))
-        allowed[vindex[v]] = m
+        allowed[index(v)] = m
 
     color = [0] * n
     ncc = [0] * (n * k)  # colored-neighbor counts, flattened [v * k + (c-1)]
     slack = [0] * n
     owner = [0] * n  # scope: the search that may color an uncolored vertex
-    # Every state change is logged as (tag, vertex, payload) for undo():
-    # 0 assign, 1 forbid (old mask), 2 slack used, 3 neighbor count (color),
-    # 4 forbid that left two or more colors (old mask; also pushed `lost`),
-    # 5 slack set (old slack), 6 scope change (old scope), 7 `lost` push.
-    trail: list[tuple[int, int, int]] = []
+    # Every state change is logged as (array, index, old value) for undo(),
+    # except a push onto `lost`, logged as (lost, None, None).
+    trail: list[tuple[list, int | None, int | None]] = []
     # Uncolored vertices that lost a color yet kept two or more, in the
     # order they lost it: the only candidates a pick must look at besides
     # the first uncolored vertex of the static order.
@@ -249,7 +248,7 @@ def solve(
     stamp = [0] * n  # split(): the epoch that last reached a vertex
     reached_by = [0] * n  # split(): the search that reached it
     cache: dict[tuple, list] = {}
-    nodes = closed = hits = misses = nesting = scopes = epoch = visits = 0
+    nodes = closed = hits = misses = nesting = scopes = epoch = visits = scans = 0
     # Colored-neighbor counts raised since the current decision began: with
     # fewer than two, nothing can have fallen apart and split() is skipped.
     fresh = 0
@@ -261,11 +260,11 @@ def solve(
             return True
         left = m & ~bit
         allowed[x] = left
+        trail.append((allowed, x, m))
         if left & (left - 1):
-            trail.append((4, x, m))
             lost.append(x)
+            trail.append((lost, None, None))
             return True
-        trail.append((1, x, m))
         if left == 0:
             return False
         queue.append((x, left.bit_length()))
@@ -274,40 +273,32 @@ def solve(
     def assign(x: int, c: int, queue: deque) -> bool:
         nonlocal fresh
         ci = c - 1
-        trail.append((0, x, 0))
+        trail.append((color, x, 0))
         color[x] = c
-        cap = defects[ci]
-        slack[x] = cap - ncc[x * k + ci]
-        cap += 1
+        slack[x] = defects[ci] - ncc[x * k + ci]
+        cap = defects[ci] + 1
         sid = owner[x]
         for y in adj[x]:
             cy = color[y]
             if cy == c:
-                slack[y] -= 1
-                trail.append((2, y, 0))
-                if slack[y] == 0:
-                    # y may border other scopes; their share of its slack
-                    # is reserved, so propagation stays in x's scope.
-                    for z in adj[y]:
-                        if color[z] == 0 and owner[z] == sid and not forbid(z, c, queue):
-                            return False
+                # y may border other scopes; their share of its slack is
+                # reserved, so propagation stays in x's scope.
+                if not restrict(y, slack[y] - 1, sid, queue):
+                    return False
             elif cy == 0:
                 fresh += 1
                 j = y * k + ci
+                trail.append((ncc, j, ncc[j]))
                 ncc[j] += 1
-                trail.append((3, y, ci))
                 if ncc[j] == cap and not forbid(y, c, queue):
                     return False
-        if slack[x] == 0:
-            for y in adj[x]:
-                if color[y] == 0 and not forbid(y, c, queue):
-                    return False
-        return True
+        # x's uncolored neighbors share its scope.
+        return slack[x] > 0 or restrict(x, 0, sid, queue)
 
     def restrict(y: int, left: int, sid: int, queue: deque) -> bool:
-        """Set a colored vertex's slack to a budget or what a reservation
-        leaves; at zero its color is forbidden on its neighbors in scope sid."""
-        trail.append((5, y, slack[y]))
+        """Set a colored vertex's slack to what is left of it; at zero its
+        color is forbidden on its uncolored neighbors in scope sid."""
+        trail.append((slack, y, slack[y]))
         slack[y] = left
         if left == 0:
             c = color[y]
@@ -321,7 +312,7 @@ def solve(
         attachments' slack is not charged: the witness fits within the
         slack reserved for it or left to it."""
         for x, c in zip(piece, witness):
-            trail.append((0, x, 0))
+            trail.append((color, x, 0))
             color[x] = c
 
     def propagate(queue: deque) -> bool:
@@ -337,24 +328,11 @@ def solve(
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
-            tag, x, payload = trail.pop()
-            if tag == 0:
-                color[x] = 0
-            elif tag == 1:
-                allowed[x] = payload
-            elif tag == 2:
-                slack[x] += 1
-            elif tag == 3:
-                ncc[x * k + payload] -= 1
-            elif tag == 4:
-                allowed[x] = payload
+            array, i, old = trail.pop()
+            if array is lost:
                 lost.pop()
-            elif tag == 5:
-                slack[x] = payload
-            elif tag == 6:
-                owner[x] = payload
             else:
-                lost.pop()
+                array[i] = old
 
     def split(sid: int, mark: int) -> list[list[int]]:
         """The pieces, other than the largest, that the uncolored vertices
@@ -376,13 +354,15 @@ def solve(
         epoch += 1
         e = epoch
         seeds = []
-        # Assigning a vertex raised the colored-neighbor count (tag 3) of
-        # each of its uncolored neighbors, which share its scope.
-        for tag, y, _ in trail[mark:]:
-            if tag == 3 and stamp[y] != e and not color[y]:
-                stamp[y] = e
-                reached_by[y] = -1
-                seeds.append(y)
+        # Assigning a vertex raised the colored-neighbor count of each of
+        # its uncolored neighbors, which share its scope.
+        for array, j, _ in trail[mark:]:
+            if array is ncc:
+                y = j // k
+                if stamp[y] != e and not color[y]:
+                    stamp[y] = e
+                    reached_by[y] = -1
+                    seeds.append(y)
         if len(seeds) < 2:
             return ()
         queues: list[list[int]] = []
@@ -527,7 +507,7 @@ def solve(
         nonlocal scopes
         scopes += 1
         for x in piece:
-            trail.append((6, x, sid))
+            trail.append((owner, x, owner[x]))
             owner[x] = scopes
         return scopes
 
@@ -603,7 +583,7 @@ def solve(
         """Color every vertex of scope sid; `scope` lists them in branching
         order. True leaves the coloring on the trail, False means there is
         none; either way the caller undoes to its own mark."""
-        nonlocal nodes, nesting, fresh
+        nonlocal nodes, nesting, fresh, scans
         fresh = len(trail) - mark  # bounds the caller's raised counts
         nesting = max(nesting, depth)
         lp = len(lost)
@@ -611,7 +591,7 @@ def solve(
             m = allowed[x]
             if m != full_mask and m & (m - 1) and not color[x]:
                 lost.append(x)
-                trail.append((7, x, 0))
+                trail.append((lost, None, None))
         # One frame per open choice: [vertex or (attachments, reservations),
         # untried colors or next reservation, trail mark, scan start, lost
         # start]. Every vertex before a scan start is colored or in another
@@ -624,6 +604,7 @@ def solve(
             pieces = split(sid, mark) if fresh > 1 else ()
             outcome = close(sid, pieces, depth) if pieces else None
             if outcome is None:
+                first = start
                 while start < size and (color[scope[start]] or owner[scope[start]] != sid):
                     start += 1
                 if start == size:
@@ -634,11 +615,13 @@ def solve(
                                 chain, piece, witness = chain
                                 place(piece, witness)
                     return True
+                scans += start - first + 1
                 best = scope[start]
                 fewest = allowed[best].bit_count()
                 if fewest > 2:
                     # Only a vertex that lost a color can have fewer than
                     # the first uncolored one.
+                    scans += len(lost) - lp
                     while lp < len(lost) and (color[lost[lp]] or owner[lost[lp]] != sid):
                         lp += 1
                     best_rank = rank[best]
@@ -687,7 +670,7 @@ def solve(
                 return False
 
     # Seed: forced colors, then vertices already down to one allowed color.
-    queue: deque = deque((vindex[v], c) for v, c in cons.forced.items())
+    queue: deque = deque((index(v), c) for v, c in cons.forced.items())
     queue.extend((i, m.bit_length()) for i, m in enumerate(allowed) if m and not m & (m - 1))
     try:
         if 0 in allowed or not propagate(queue):
@@ -708,6 +691,7 @@ def solve(
         "cache_misses": misses,
         "max_nesting": nesting,
         "split_visits": visits,
+        "pick_scans": scans,
     }
     coloring = {verts[i]: color[i] for i in range(n)} if result == SAT else None
     return SolveOutcome(result, coloring, nodes, stats)
@@ -742,7 +726,7 @@ def brute_force_oracle(
         else:
             blocked = cons.forbidden.get(v, frozenset())
             choices.append(tuple(c for c in range(1, k + 1) if c not in blocked))
-    adj = [tuple(g.index_of(w) for w in g.ordered_neighbors(v)) for v in verts]
+    adj = g.adjacency
 
     examined = 0
     for assignment in product(*choices):

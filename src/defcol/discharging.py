@@ -260,14 +260,14 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
         for w in face_walk_vertices[i]:
             if degree[w] != 3:
                 continue
-            for x in g.neighbors(w):
+            for x in g.ordered_neighbors(w):
                 if x not in on_face:
                     pendant[x].add(i)
     pendant_faces = {v: tuple(sorted(pendant[v])) for v in g.vertices}
 
     alpha = {v: len(incident_three[v]) for v in g.vertices}
     beta = {
-        v: sum(1 for u in g.neighbors(v) if u in good_two) for v in g.vertices
+        v: sum(1 for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
     }
     gamma = {v: len(pendant_faces[v]) for v in g.vertices}
 

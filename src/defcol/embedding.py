@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .graphs import (
-    EDGELIST_HEADER,
     Graph,
     Vertex,
     _content_lines,
-    dump_graph,
+    _edgelist_lines,
     is_connected,
     parse_graph_lines,
 )
@@ -60,11 +59,13 @@ class PlaneEmbedding:
             raise ValueError("rotation must list every vertex exactly once")
         rot: dict[Vertex, tuple[Vertex, ...]] = {}
         succ: dict[Dart, Vertex] = {}
-        for v in graph.vertices:
+        at = graph.vertices.__getitem__
+        for v, ns in zip(graph.vertices, graph.adjacency):
             around = tuple(rotation[v])
-            if len(around) != len(set(around)):
+            listed = set(around)
+            if len(around) != len(listed):
                 raise ValueError(f"rotation at {v!r} repeats a neighbor")
-            if set(around) != set(graph.neighbors(v)):
+            if listed != set(map(at, ns)):
                 raise ValueError(f"rotation at {v!r} does not match its neighbors")
             rot[v] = around
             for i, u in enumerate(around):
@@ -183,8 +184,7 @@ def embedding_from_positions(
 def dump_embedding(emb: PlaneEmbedding) -> str:
     g = emb.graph
     idx = g.index_of
-    body = dump_graph(g)[len(EDGELIST_HEADER) + 1 :]
-    lines = [EMBEDDING_HEADER, body.rstrip("\n")]
+    lines = [EMBEDDING_HEADER, *_edgelist_lines(g)]
     for v in g.vertices:
         around = " ".join(str(idx(w)) for w in emb.rotation_of(v))
         lines.append(f"rot {idx(v)}: {around}".rstrip())

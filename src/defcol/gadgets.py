@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedding import PlaneEmbedding, check_planarity_certificate
-from .graphs import Graph, Vertex
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph, Vertex
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,22 @@ class GadgetResult:
                 raise ValueError("embedding is for a different graph")
             if not check_planarity_certificate(self.embedding):
                 raise ValueError("emitted embedding fails the Euler check")
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    """Refuse, before anything is built, an output the loaders would refuse."""
+    if vertices > MAX_VERTICES or edges > MAX_EDGES:
+        raise ValueError(
+            f"output would have {vertices} vertices and {edges} edges; "
+            f"the limits are {MAX_VERTICES} and {MAX_EDGES}"
+        )
+
+
+def _hub_size(k: int) -> tuple[int, int]:
+    """Vertex and edge count of one hub block: z, the path x1-x2-x3 and
+    3(2k+1) linked-triangle copies of 4 vertices and 7 edges each."""
+    copies = 3 * (2 * k + 1)
+    return 4 + 4 * copies, 2 + 7 * copies
 
 
 def _link_parts(prefix: str, u_id: Vertex, v_id: Vertex):
@@ -126,6 +142,7 @@ def hub_gadget(k: int) -> GadgetResult:
     3-path x1-x2-x3; 4 + 12(2k+1) vertices, terminals z, x1, x2, x3."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_size(*_hub_size(k))
     vertices, edges, rotation, terminals = _hub_parts(k, "")
     labels = {v: name for name, v in terminals.items()}
     g = Graph(vertices, edges, labels)
@@ -141,6 +158,8 @@ def non_1k(k: int) -> GadgetResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    n, m = _hub_size(k)
+    _check_size(3 * n, 3 * m + 2)
     vertices: list[Vertex] = []
     edges: list[tuple[Vertex, Vertex]] = []
     rotation: dict[Vertex, list[Vertex]] = {}
@@ -174,6 +193,8 @@ def np_reduce(g: Graph, k: int) -> GadgetResult:
         raise ValueError("k must be at least 1")
     if k == 1:
         return GadgetResult(g, {})
+    n = g.vertex_count
+    _check_size(n + 2 * n * (k - 1), g.edge_count + 3 * n * (k - 1))
     vertices: list[Vertex] = list(g.vertices)
     edges: list[tuple[Vertex, Vertex]] = list(g.edges())
     for v in g.vertices:

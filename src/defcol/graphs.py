@@ -29,7 +29,7 @@ MAX_EDGES = 3 * MAX_VERTICES
 class Graph:
     """Immutable simple undirected graph with ordered, opaque vertex ids."""
 
-    __slots__ = ("_order", "_index", "_adj", "_labels")
+    __slots__ = ("_order", "_index", "_adjacency", "_labels")
 
     def __init__(
         self,
@@ -37,23 +37,22 @@ class Graph:
         edges: Iterable[tuple[Vertex, Vertex]] = (),
         labels: Mapping[Vertex, str] | None = None,
     ):
-        order: list[Vertex] = []
-        index: dict[Vertex, int] = {}
-        for v in vertices:
-            if v in index:
-                raise ValueError(f"duplicate vertex {v!r}")
-            index[v] = len(order)
-            order.append(v)
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in order}
+        order = tuple(vertices)
+        index = {v: i for i, v in enumerate(order)}
+        if len(index) != len(order):
+            dup = next(v for i, v in enumerate(order) if index[v] != i)
+            raise ValueError(f"duplicate vertex {dup!r}")
+        around: list[set[int]] = [set() for _ in order]
         for u, v in edges:
             if u not in index:
                 raise ValueError(f"edge endpoint {u!r} is not a vertex")
             if v not in index:
                 raise ValueError(f"edge endpoint {v!r} is not a vertex")
-            if u == v:
+            i, j = index[u], index[v]
+            if i == j:
                 raise ValueError(f"self-loop at {u!r}")
-            adj[u].add(v)
-            adj[v].add(u)
+            around[i].add(j)
+            around[j].add(i)
         label_map = dict(labels or {})
         for v in label_map:
             if v not in index:
@@ -61,9 +60,9 @@ class Graph:
         names = list(label_map.values())
         if len(set(names)) != len(names):
             raise ValueError("vertex labels must be unique")
-        self._order = tuple(order)
+        self._order = order
         self._index = index
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._adjacency = tuple(tuple(sorted(ns)) for ns in around)
         self._labels = label_map
 
     # -- basic queries -------------------------------------------------
@@ -71,6 +70,11 @@ class Graph:
     @property
     def vertices(self) -> tuple[Vertex, ...]:
         return self._order
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """For each vertex index, the ascending indices of its neighbors."""
+        return self._adjacency
 
     @property
     def labels(self) -> dict[Vertex, str]:
@@ -82,7 +86,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(ns) for ns in self._adj.values()) // 2
+        return sum(map(len, self._adjacency)) // 2
 
     def __len__(self) -> int:
         return len(self._order)
@@ -97,29 +101,21 @@ class Graph:
         return self._index[v]
 
     def neighbors(self, v: Vertex) -> frozenset[Vertex]:
-        return self._adj[v]
+        return frozenset(map(self._order.__getitem__, self._adjacency[self._index[v]]))
 
     def ordered_neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        idx = self._index
-        return tuple(sorted(self._adj[v], key=idx.__getitem__))
+        return tuple(map(self._order.__getitem__, self._adjacency[self._index[v]]))
 
     def degree(self, v: Vertex) -> int:
-        return len(self._adj[v])
+        return len(self._adjacency[self._index[v]])
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return v in self._adj[u]
+        return self._index.get(v, -1) in self._adjacency[self._index[u]]
 
     def edges(self) -> list[tuple[Vertex, Vertex]]:
         """All edges (u, v) with u before v in vertex order, sorted."""
-        idx = self._index
-        out = []
-        for u in self._order:
-            iu = idx[u]
-            for w in self._adj[u]:
-                if idx[w] > iu:
-                    out.append((u, w))
-        out.sort(key=lambda e: (idx[e[0]], idx[e[1]]))
-        return out
+        order = self._order
+        return [(order[i], order[j]) for i, ns in enumerate(self._adjacency) for j in ns if j > i]
 
     def label_of(self, v: Vertex) -> str | None:
         return self._labels.get(v)
@@ -135,12 +131,12 @@ class Graph:
             return NotImplemented
         return (
             self._order == other._order
-            and self._adj == other._adj
+            and self._adjacency == other._adjacency
             and self._labels == other._labels
         )
 
     def __hash__(self):
-        return hash((self._order, frozenset(self._adj.items())))
+        return hash((self._order, self._adjacency))
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
@@ -154,12 +150,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    checked = []
-    for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        checked.append((i, j))
-    return Graph(range(n), checked)
+    return Graph(range(n), edges)
 
 
 def identify(g: Graph, u: Vertex, v: Vertex) -> Graph:
@@ -247,10 +238,10 @@ def is_c4c5_free(g: Graph) -> bool:
     midpoint closes a 4-cycle. Otherwise an edge x-y whose two midpoints differ
     and avoid x and y closes the 5-cycle u-a-x-y-d. No path is enumerated.
     """
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    for u in sorted(adj, key=lambda v: -len(adj[v])):
-        around = adj.pop(u)
-        mid: dict[Vertex, Vertex] = {}
+    adj = [set(ns) for ns in g.adjacency]
+    for u in sorted(range(len(adj)), key=lambda v: -len(adj[v])):
+        around = adj[u]  # u leaves its neighbors' sets below: nothing reaches it again
+        mid: dict[int, int] = {}
         for a in around:
             adj[a].discard(u)
             for x in adj[a]:
@@ -276,8 +267,7 @@ def girth(g: Graph) -> int | float:
     the first root of a shortest cycle yields the exact value. Forests,
     cycles and sparse strips take near-linear time.
     """
-    index = g.index_of
-    adj = [{index(w) for w in g.neighbors(v)} for v in g.vertices]
+    adj = [set(ns) for ns in g.adjacency]
 
     def remove(v: int) -> None:
         # Delete v, then every vertex that this leaves with degree <= 1.
@@ -318,33 +308,34 @@ def girth(g: Graph) -> int | float:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
+    adj = g.adjacency
+    if not adj:
         return True
-    seen = {g.vertices[0]}
+    seen = {0}
     queue = deque(seen)
     while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in adj[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return len(seen) == g.vertex_count
+    return len(seen) == len(adj)
 
 
 # -- edge-list text format ---------------------------------------------
 
 
+def _edgelist_lines(g: Graph) -> list[str]:
+    """The 'n m' line, edge lines and label lines that .graph and .emb
+    documents share."""
+    edges = [f"{i} {j}" for i, ns in enumerate(g.adjacency) for j in ns if j > i]
+    labels = [f"label {i} {name}" for i, v in enumerate(g.vertices)
+              if (name := g.label_of(v)) is not None]
+    return [f"{g.vertex_count} {len(edges)}", *edges, *labels]
+
+
 def dump_graph(g: Graph) -> str:
     """Serialize to the versioned edge-list format (0-based indices)."""
-    idx = g.index_of
-    lines = [EDGELIST_HEADER, f"{g.vertex_count} {g.edge_count}"]
-    for u, v in g.edges():
-        lines.append(f"{idx(u)} {idx(v)}")
-    for v in g.vertices:
-        name = g.label_of(v)
-        if name is not None:
-            lines.append(f"label {idx(v)} {name}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([EDGELIST_HEADER, *_edgelist_lines(g)]) + "\n"
 
 
 def _content_lines(text: str) -> list[str]:
@@ -366,6 +357,8 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     n, m = int(head[0]), int(head[1])
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if not 0 <= m <= MAX_EDGES:
         raise ValueError(f"edge count {m} outside 0..{MAX_EDGES}")
     pairs = []
@@ -387,10 +380,7 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
             labels[int(parts[1])] = parts[2]
         else:
             leftover.append(line)
-    g = make_graph(n, pairs)
-    if labels:
-        g = Graph(g.vertices, g.edges(), labels)
-    return g, leftover
+    return Graph(range(n), pairs, labels), leftover
 
 
 def load_graph(text: str) -> Graph:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,7 +107,7 @@ class TestSolveCommand:
         assert set(doc) == {"format", "outcome", "coloring", "nodes", "budget", "stats"}
         assert doc["stats"] == {"decisions": doc["nodes"], "pieces_closed": 0,
                                 "cache_hits": 0, "cache_misses": 0, "max_nesting": 0,
-                                "split_visits": 0}
+                                "split_visits": 0, "pick_scans": 3}
 
 
 class TestForcedColors:
@@ -217,6 +218,21 @@ class TestGadgetCommands:
         assert json.loads(out)["vertex_count"] == 18
         code, out, _ = run(capsys, "check", "c4c5", "--graph", str(tmp_path / "r.graph"))
         assert json.loads(out)["c4c5_free"] is True
+
+
+    @pytest.mark.parametrize("command", [["gadget", "s"], ["gadget", "non1k"], ["reduce"]],
+                             ids=["s", "non1k", "reduce"])
+    def test_oversized_k_exits_two_fast(self, tmp_path, capsys, command):
+        src = tmp_path / "p3.graph"
+        src.write_text(dump_graph(make_graph(3, [(0, 1), (1, 2)])))
+        if command == ["reduce"]:
+            command = command + ["--graph", str(src)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command, "--k", "1000000000", "--out", str(tmp_path / "x"))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert "the limits are 200000 and 600000" in err
+        assert not (tmp_path / "x.graph").exists()
 
 
 class TestCheckCommands:

@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,10 @@ from defcol import (
     trace_faces,
     triangle_link,
 )
+
+from defcol import gadgets
+from defcol.gadgets import _hub_size
+from defcol.graphs import MAX_VERTICES
 
 from strategies import graphs
 
@@ -236,6 +241,48 @@ class TestNpReduce:
         if girth(g) < 6:
             return
         assert is_c4c5_free(np_reduce(g, k).graph)
+
+
+class TestSizeLimits:
+    """A generator refuses, before building anything, an output that the
+    loaders would refuse."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_size_formula_matches_the_built_gadgets(self, k):
+        n, m = _hub_size(k)
+        hub, composite = hub_gadget(k).graph, non_1k(k).graph
+        assert (hub.vertex_count, hub.edge_count) == (n, m)
+        assert (composite.vertex_count, composite.edge_count) == (3 * n, 3 * m + 2)
+
+    def test_largest_hub_inside_the_limit_passes_the_check(self, monkeypatch):
+        assert _hub_size(8332) == (199_984, 349_967)
+        assert _hub_size(8333)[0] > MAX_VERTICES
+
+        class Built(Exception):
+            pass
+
+        def build(k, prefix):
+            raise Built
+
+        # The check lets k=8332 through to the build, which is not run.
+        monkeypatch.setattr(gadgets, "_hub_parts", build)
+        with pytest.raises(Built):
+            hub_gadget(8332)
+        with pytest.raises(ValueError, match="limits"):
+            hub_gadget(8333)
+
+    @pytest.mark.parametrize("build, k", [
+        (hub_gadget, 10**9),
+        (non_1k, 10**9),
+        (non_1k, 2778),  # 3 * (4 + 12 * 5557) = 200,064 vertices
+        (lambda k: np_reduce(make_graph(3, [(0, 1), (1, 2)]), k), 10**9),
+        (lambda k: np_reduce(make_graph(3, [(0, 1), (1, 2)]), k), 33_334),  # 200,001
+    ], ids=["hub", "non1k", "non1k_edge", "reduce", "reduce_edge"])
+    def test_oversized_output_rejected_fast(self, build, k):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="limits"):
+            build(k)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestAllOutputsC4C5Free:

@@ -363,3 +363,48 @@ class TestEdgeListFormat:
         assert back.vertex_count == g.vertex_count
         idx = g.index_of
         assert {(idx(u), idx(v)) for u, v in g.edges()} == set(back.edges())
+
+
+@st.composite
+def opaque_graphs(draw):
+    """Graphs on string and tuple vertex ids in shuffled order, from an edge
+    list with repeats and both orientations, plus the neighbor sets that
+    list implies."""
+    opaque = st.one_of(st.text(max_size=3), st.tuples(st.integers(0, 3), st.text(max_size=2)))
+    ids = draw(st.lists(opaque, unique=True, max_size=9))
+    ids = draw(st.permutations(ids))
+    pairs = [(a, b) for a in ids for b in ids if a != b]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=25)) if pairs else []
+    around = {v: set() for v in ids}
+    for a, b in edges:
+        around[a].add(b)
+        around[b].add(a)
+    return Graph(ids, edges), around
+
+
+class TestAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(opaque_graphs())
+    def test_adjacency_neighbors_and_edges_follow_vertex_order(self, case):
+        g, around = case
+        idx = g.index_of
+        for i, v in enumerate(g.vertices):
+            assert g.adjacency[i] == tuple(sorted(idx(w) for w in around[v]))
+            assert g.neighbors(v) == frozenset(around[v])
+            assert g.ordered_neighbors(v) == tuple(sorted(around[v], key=idx))
+            assert g.degree(v) == len(around[v])
+            assert all(g.has_edge(v, w) == (w in around[v]) for w in g.vertices)
+        by_sort = sorted(((u, w) for u in g.vertices for w in around[u] if idx(w) > idx(u)),
+                         key=lambda e: (idx(e[0]), idx(e[1])))
+        assert g.edges() == by_sort
+        assert g.edge_count == len(by_sort)
+        back = load_graph(dump_graph(g))
+        assert back.adjacency == g.adjacency
+        assert dump_graph(back) == dump_graph(g)
+
+    def test_adjacency_is_read_only(self):
+        g = k_n(3)
+        with pytest.raises(AttributeError):
+            g.adjacency = ()
+        with pytest.raises(TypeError):
+            g.adjacency[0] = ()

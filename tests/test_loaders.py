@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcol import dump_embedding, dump_graph, load_embedding, load_graph, triangle_link
+from defcol import Graph, dump_embedding, dump_graph, load_embedding, load_graph, triangle_link
 from defcol.cli import main
 from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
@@ -93,3 +93,18 @@ def test_cli_rejects_oversized_header_with_exit_two(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "exceeds the limit" in out.err
+
+
+@pytest.mark.parametrize("doc", VALID, ids=[f"doc{i}" for i in range(len(VALID))])
+def test_loading_builds_one_graph(doc, monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    loader = load_embedding if doc.startswith("# defcol-embedding") else load_graph
+    loader(doc)
+    assert len(built) == 1
