@@ -186,18 +186,17 @@ def solve(
     is *binding* when it borders two or more pieces that can take its
     color and has less slack than their combined demand for it.
 
-    * A piece with no binding attachment is searched at once, in place.
-    * Otherwise its *profile* is computed: the Pareto-minimal budgets of
-      slack on its binding attachments under which an exhaustive
-      sub-search confined to the piece succeeds, each with its witness
-      coloring. Profiles are cached by the piece's complete local instance
-      (allowed colors, adjacency, attachment colors and slack), so
-      interchangeable copies are searched once. A piece that needs none
-      of the contested slack is placed at once. A knapsack over the
-      attachments' slack combines the other profiles into the
-      Pareto-minimal reservations; the main line branches over them,
-      searches on with that slack reserved, and places the witnesses when
-      it is done.
+    Each closed piece's *profile* is computed: the Pareto-minimal budgets
+    of slack on its binding attachments under which an exhaustive
+    sub-search confined to the piece succeeds, each with its witness
+    coloring. A piece with no binding attachment has one budget, the empty
+    one. Profiles are cached by the piece's complete local instance
+    (allowed colors, adjacency, attachment colors and slack), so
+    interchangeable copies are searched once. A piece that needs none of
+    the contested slack is placed at once. A knapsack over the
+    attachments' slack combines the other profiles into the Pareto-minimal
+    reservations; the main line branches over them, and each choice
+    reserves its slack and places its witnesses.
 
     A closed piece is never larger than the piece that continues, so
     sub-searches nest at most log2(n) deep.
@@ -486,10 +485,6 @@ def solve(
         closed += len(plans)
         pending = []
         for piece, atts, binding in plans:
-            if not binding:
-                if not search(rescope(sid, piece), piece, len(trail), depth + 1):
-                    return False
-                continue
             entries = profile(sid, piece, atts, binding, depth + 1)
             if not entries:
                 return False
@@ -608,12 +603,6 @@ def solve(
                 while start < size and (color[scope[start]] or owner[scope[start]] != sid):
                     start += 1
                 if start == size:
-                    for frame in stack:
-                        if type(frame[0]) is tuple:
-                            chain = frame[0][1][frame[1] - 1][1]
-                            while chain:
-                                chain, piece, witness = chain
-                                place(piece, witness)
                     return True
                 scans += start - first + 1
                 best = scope[start]
@@ -662,8 +651,15 @@ def solve(
                         if nodes > budget:
                             raise _BudgetStop
                     frame[1] = untried + 1
+                    reserved, chain = reservations[untried]
                     ok = all(restrict(y, slack[y] - r, sid, queue)
-                             for y, r in zip(atts, reservations[untried][0]) if r)
+                             for y, r in zip(atts, reserved) if r)
+                    # The pending pieces touch only colored attachments and
+                    # live in scopes of their own, so the main line never
+                    # reads their colors.
+                    while chain:
+                        chain, piece, witness = chain
+                        place(piece, witness)
                 if ok and propagate(queue):
                     break
             else:

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
 from .graphs import Graph, Vertex, is_c4c5_free
@@ -33,17 +33,14 @@ PASS = "pass"
 DEGENERATE = "degenerate"
 FAIL = "fail"
 
-# target relations a rule can feed
-GOOD2_ADJACENT = "good2_adjacent"
-THREE_FACE_INCIDENT = "three_face_incident"
-THREE_FACE_PENDANT = "three_face_pendant"
-BAD2_INCIDENT = "bad2_incident"
-TWO_VERTEX_INCIDENT = "two_vertex_incident"
-
-# source selectors
-VERTEX_SOURCE = "vertex"
-BIG_FACE_SOURCE = "big_face"
-BAD3_FACE_SOURCE = "bad3_face"
+# The relations a rule can feed. Each fixes a rule's source kind, the
+# StructureTags field listing every source's targets, and the target kind.
+GOOD2_ADJACENT = ("v", "good_two_neighbors", "v")
+THREE_FACE_INCIDENT = ("v", "incident_three_faces", "f")
+THREE_FACE_PENDANT = ("v", "pendant_faces", "f")
+# Walk occurrences are counted, so a vertex the walk crosses twice receives
+# twice.
+BAD2_INCIDENT = ("f", "face_bad_two", "v")
 
 
 @dataclass(frozen=True)
@@ -62,6 +59,10 @@ class StructureTags:
     bad_three_faces: frozenset[int]
     incident_three_faces: dict[Vertex, tuple[int, ...]]
     pendant_faces: dict[Vertex, tuple[int, ...]]
+    good_two_neighbors: dict[Vertex, tuple[Vertex, ...]]
+    # the bad 2-vertices on each face's walk, by ascending face index; only
+    # faces that have one are listed
+    face_bad_two: dict[int, tuple[Vertex, ...]]
     alpha: dict[Vertex, int]
     beta: dict[Vertex, int]
     gamma: dict[Vertex, int]
@@ -91,9 +92,11 @@ class ChargeLedger:
 
 @dataclass(frozen=True)
 class Rule:
+    """Move `amount` from every source whose degree is in the window to each
+    of its targets under `relation`."""
+
     rule_id: str
-    source_kind: str
-    target: str
+    relation: tuple[str, str, str]
     amount: Fraction
     min_degree: int = 0
     max_degree: int | None = None
@@ -110,53 +113,53 @@ class DischargeRuleSet:
     rules: tuple[Rule, ...]
 
 
-def _vrule(rid, amount, target, lo, hi=None):
-    return Rule(rid, VERTEX_SOURCE, target, Fraction(amount), lo, hi)
+def _rule(rid, amount, relation, lo, hi=None):
+    return Rule(rid, relation, Fraction(amount), lo, hi)
 
 
 RULES_44 = DischargeRuleSet(
     "44",
     (
-        _vrule("R1", 1, GOOD2_ADJACENT, 6),
-        _vrule("R2", 2, THREE_FACE_INCIDENT, 6),
-        _vrule("R3", 1, THREE_FACE_PENDANT, 6),
-        Rule("R4", BIG_FACE_SOURCE, BAD2_INCIDENT, Fraction(1), 7),
-        _vrule("R5", 1, THREE_FACE_INCIDENT, 4, 5),
-        Rule("R6", BAD3_FACE_SOURCE, TWO_VERTEX_INCIDENT, Fraction(1)),
+        _rule("R1", 1, GOOD2_ADJACENT, 6),
+        _rule("R2", 2, THREE_FACE_INCIDENT, 6),
+        _rule("R3", 1, THREE_FACE_PENDANT, 6),
+        _rule("R4", 1, BAD2_INCIDENT, 7),
+        _rule("R5", 1, THREE_FACE_INCIDENT, 4, 5),
+        _rule("R6", 1, BAD2_INCIDENT, 3, 3),
     ),
 )
 
 RULES_35 = DischargeRuleSet(
     "35",
     (
-        _vrule("R1", Fraction(4, 5), GOOD2_ADJACENT, 5, 5),
-        _vrule("R2", Fraction(8, 5), THREE_FACE_INCIDENT, 5, 5),
-        _vrule("R3", Fraction(4, 5), THREE_FACE_PENDANT, 5, 5),
-        _vrule("R4", 1, GOOD2_ADJACENT, 6, 6),
-        _vrule("R5", 2, THREE_FACE_INCIDENT, 6, 7),
-        _vrule("R6", 1, THREE_FACE_PENDANT, 6, 6),
-        _vrule("R7", Fraction(6, 5), GOOD2_ADJACENT, 7),
-        _vrule("R8", Fraction(12, 5), THREE_FACE_INCIDENT, 8),
-        _vrule("R9", Fraction(6, 5), THREE_FACE_PENDANT, 7),
-        Rule("R10", BIG_FACE_SOURCE, BAD2_INCIDENT, Fraction(1), 7),
-        _vrule("R11", 1, THREE_FACE_INCIDENT, 4, 4),
-        Rule("R12", BAD3_FACE_SOURCE, TWO_VERTEX_INCIDENT, Fraction(1)),
+        _rule("R1", Fraction(4, 5), GOOD2_ADJACENT, 5, 5),
+        _rule("R2", Fraction(8, 5), THREE_FACE_INCIDENT, 5, 5),
+        _rule("R3", Fraction(4, 5), THREE_FACE_PENDANT, 5, 5),
+        _rule("R4", 1, GOOD2_ADJACENT, 6, 6),
+        _rule("R5", 2, THREE_FACE_INCIDENT, 6, 7),
+        _rule("R6", 1, THREE_FACE_PENDANT, 6, 6),
+        _rule("R7", Fraction(6, 5), GOOD2_ADJACENT, 7),
+        _rule("R8", Fraction(12, 5), THREE_FACE_INCIDENT, 8),
+        _rule("R9", Fraction(6, 5), THREE_FACE_PENDANT, 7),
+        _rule("R10", 1, BAD2_INCIDENT, 7),
+        _rule("R11", 1, THREE_FACE_INCIDENT, 4, 4),
+        _rule("R12", 1, BAD2_INCIDENT, 3, 3),
     ),
 )
 
 RULES_29 = DischargeRuleSet(
     "29",
     (
-        _vrule("R1", Fraction(1, 2), GOOD2_ADJACENT, 4, 10),
-        _vrule("R2", 1, THREE_FACE_INCIDENT, 4, 4),
-        _vrule("R3", Fraction(1, 2), THREE_FACE_PENDANT, 4, 10),
-        _vrule("R4", Fraction(3, 2), THREE_FACE_INCIDENT, 5, 10),
-        _vrule("R5", Fraction(5, 2), THREE_FACE_INCIDENT, 11, 11),
-        _vrule("R6", Fraction(3, 2), GOOD2_ADJACENT, 11),
-        _vrule("R7", 3, THREE_FACE_INCIDENT, 12),
-        _vrule("R8", Fraction(3, 2), THREE_FACE_PENDANT, 11),
-        Rule("R9", BIG_FACE_SOURCE, BAD2_INCIDENT, Fraction(1), 7),
-        Rule("R10", BAD3_FACE_SOURCE, TWO_VERTEX_INCIDENT, Fraction(1)),
+        _rule("R1", Fraction(1, 2), GOOD2_ADJACENT, 4, 10),
+        _rule("R2", 1, THREE_FACE_INCIDENT, 4, 4),
+        _rule("R3", Fraction(1, 2), THREE_FACE_PENDANT, 4, 10),
+        _rule("R4", Fraction(3, 2), THREE_FACE_INCIDENT, 5, 10),
+        _rule("R5", Fraction(5, 2), THREE_FACE_INCIDENT, 11, 11),
+        _rule("R6", Fraction(3, 2), GOOD2_ADJACENT, 11),
+        _rule("R7", 3, THREE_FACE_INCIDENT, 12),
+        _rule("R8", Fraction(3, 2), THREE_FACE_PENDANT, 11),
+        _rule("R9", 1, BAD2_INCIDENT, 7),
+        _rule("R10", 1, BAD2_INCIDENT, 3, 3),
     ),
 )
 
@@ -250,9 +253,15 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
     good_two = frozenset(
         v for v in g.vertices if degree[v] == 2 and not incident_three[v]
     )
-    bad_three = frozenset(
-        i for i in three_faces if any(degree[v] == 2 for v in face_walk_vertices[i])
-    )
+    # Every 2-vertex on a 3-face is bad, so these lists also name the bad
+    # 3-faces and their 2-vertices.
+    face_bad_two = {
+        i: tuple(u for u in face_walk_vertices[i] if u in bad_two)
+        for i in sorted({i for v in bad_two for i in corners[v]})
+    }
+    good_two_neighbors = {
+        v: tuple(u for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
+    }
 
     pendant: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
     for i in three_faces:
@@ -266,9 +275,7 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
     pendant_faces = {v: tuple(sorted(pendant[v])) for v in g.vertices}
 
     alpha = {v: len(incident_three[v]) for v in g.vertices}
-    beta = {
-        v: sum(1 for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
-    }
+    beta = {v: len(us) for v, us in good_two_neighbors.items()}
     gamma = {v: len(pendant_faces[v]) for v in g.vertices}
 
     return StructureTags(
@@ -281,62 +288,36 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
         three_faces=three_faces,
         bad_two_vertices=bad_two,
         good_two_vertices=good_two,
-        bad_three_faces=bad_three,
+        bad_three_faces=frozenset(i for i in face_bad_two if face_degree[i] == 3),
         incident_three_faces=incident_three,
         pendant_faces=pendant_faces,
+        good_two_neighbors=good_two_neighbors,
+        face_bad_two=face_bad_two,
         alpha=alpha,
         beta=beta,
         gamma=gamma,
     )
 
 
-def initial_charges(emb: PlaneEmbedding, tags: StructureTags | None = None) -> ChargeLedger:
+def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
     """Charge 2d(v) - 6 per vertex and d(f) - 6 per face; total is -12."""
-    if tags is None:
-        tags = classify(emb)
-    g = emb.graph
+    tags = analyze(source).tags
     charges: dict[ElementKey, Fraction] = {}
-    for v in g.vertices:
-        charges[("v", v)] = Fraction(2 * tags.degree[v] - 6)
+    for v, d in tags.degree.items():
+        charges[("v", v)] = Fraction(2 * d - 6)
     for i, d in enumerate(tags.face_degree):
         charges[("f", i)] = Fraction(d - 6)
     return ChargeLedger(tuple(charges), charges)  # vertices, then faces
 
 
-def _rule_transfers(g: Graph, tags: StructureTags, rule: Rule) -> Iterable[Transfer]:
-    if rule.source_kind == VERTEX_SOURCE:
-        for v in g.vertices:
-            if not rule.selects_degree(tags.degree[v]):
-                continue
-            src = ("v", v)
-            if rule.target == GOOD2_ADJACENT:
-                for u in g.ordered_neighbors(v):
-                    if u in tags.good_two_vertices:
-                        yield Transfer(rule.rule_id, src, ("v", u), rule.amount)
-            elif rule.target == THREE_FACE_INCIDENT:
-                for i in tags.incident_three_faces[v]:
-                    yield Transfer(rule.rule_id, src, ("f", i), rule.amount)
-            elif rule.target == THREE_FACE_PENDANT:
-                for i in tags.pendant_faces[v]:
-                    yield Transfer(rule.rule_id, src, ("f", i), rule.amount)
-            else:
-                raise AssertionError(f"bad vertex-rule target {rule.target}")
-    elif rule.source_kind == BIG_FACE_SOURCE:
-        # Face-incidence transfers count boundary-walk occurrences, so a
-        # vertex the walk crosses twice receives twice.
-        for i, d in enumerate(tags.face_degree):
-            if not rule.selects_degree(d):
-                continue
-            for u in tags.face_walk_vertices[i]:
-                if u in tags.bad_two_vertices:
-                    yield Transfer(rule.rule_id, ("f", i), ("v", u), rule.amount)
-    elif rule.source_kind == BAD3_FACE_SOURCE:
-        for i in sorted(tags.bad_three_faces):
-            for u in tags.face_walk_vertices[i]:
-                if tags.degree[u] == 2:
-                    yield Transfer(rule.rule_id, ("f", i), ("v", u), rule.amount)
-    else:
-        raise AssertionError(f"bad rule source {rule.source_kind}")
+def _rule_transfers(tags: StructureTags, rule: Rule) -> Iterator[Transfer]:
+    source, targets, target = rule.relation
+    degree = tags.degree if source == "v" else tags.face_degree
+    for s, ts in getattr(tags, targets).items():
+        if rule.selects_degree(degree[s]):
+            src = (source, s)
+            for t in ts:
+                yield Transfer(rule.rule_id, src, (target, t), rule.amount)
 
 
 def apply_ruleset(
@@ -351,12 +332,11 @@ def apply_ruleset(
 def _discharge(
     analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
 ) -> tuple[ChargeLedger, ChargeLedger, list[Transfer]]:
-    tags = analysis.tags
-    initial = initial_charges(analysis.emb, tags)
+    initial = initial_charges(analysis)
     charges = dict(initial.charges)
     log: list[Transfer] = []
     for rule in ruleset.rules:
-        for t in _rule_transfers(analysis.emb.graph, tags, rule):
+        for t in _rule_transfers(analysis.tags, rule):
             charges[t.source] -= t.amount
             charges[t.target] += t.amount
             log.append(t)

@@ -201,6 +201,8 @@ def load_embedding(text: str) -> PlaneEmbedding:
         if len(parts) < 2 or not parts[1].endswith(":"):
             raise ValueError(f"malformed rotation line {line!r}")
         v = int(parts[1][:-1])
+        if v in rotation:
+            raise ValueError(f"second rotation line for vertex {v}")
         rotation[v] = [int(tok) for tok in parts[2:]]
     missing = [v for v in g.vertices if v not in rotation]
     if missing:

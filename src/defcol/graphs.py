@@ -377,10 +377,16 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         if parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
-            labels[int(parts[1])] = parts[2]
+            v = int(parts[1])
+            if v in labels:
+                raise ValueError(f"second label line for vertex {v}")
+            labels[v] = parts[2]
         else:
             leftover.append(line)
-    return Graph(range(n), pairs, labels), leftover
+    g = Graph(range(n), pairs, labels)
+    if g.edge_count != m:
+        raise ValueError(f"{m} edge lines name only {g.edge_count} distinct edges")
+    return g, leftover
 
 
 def load_graph(text: str) -> Graph:

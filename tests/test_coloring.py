@@ -17,6 +17,7 @@ from defcol import (
     is_valid_coloring,
     make_graph,
     non_1k,
+    np_reduce,
     solve,
     triangle_link,
 )
@@ -288,6 +289,15 @@ class TestComponentProfiles:
         out = solve(non_1k(k).graph, (1, k), budget=10**4)
         assert out.is_unsat
         assert out.nodes == nodes
+
+    def test_piece_without_binding_attachments_is_profiled_and_cached(self):
+        # 27 pieces of the reduction, 25 of them of two vertices, need no
+        # contested slack; each goes through the profile cache instead of a
+        # search of its own.
+        out = solve(np_reduce(non_1k(1).graph, 2).graph, (0, 2), budget=10**4)
+        assert out.is_unsat
+        assert out.nodes == 6
+        assert (out.stats["cache_hits"], out.stats["max_nesting"]) == (55, 1)
 
     def test_budget_stop_inside_a_sub_search_is_never_unsat(self):
         g = non_1k(2).graph

@@ -142,6 +142,10 @@ class TestInitialCharges:
         assert [ledger.charge_of(("v", i)) for i in range(3)] == [Fraction(-2)] * 3
         assert ledger.total() == Fraction(-12)
 
+    def test_takes_an_analysis(self):
+        emb = vertex7_one_triangle()
+        assert initial_charges(analyze(emb)) == initial_charges(emb)
+
     @pytest.mark.parametrize("name,emb", CORPUS, ids=CORPUS_IDS)
     def test_total_is_minus_twelve(self, name, emb):
         assert initial_charges(emb).total() == Fraction(-12)

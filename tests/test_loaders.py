@@ -70,6 +70,20 @@ def test_mutated_documents_load_or_raise_value_error(text):
             pass
 
 
+@pytest.mark.parametrize(
+    "loader, text",
+    [
+        (load_graph, "3 1\n0 1\nlabel 0 a\nlabel 0 b\n"),
+        (load_graph, "2 3\n0 1\n1 0\n0 1\n"),
+        (load_embedding, "3 3\n0 1\n1 2\n0 2\nrot 0: 1 2\nrot 0: 2 1\nrot 1: 0 2\nrot 2: 0 1\n"),
+    ],
+    ids=["second label line", "repeated edge lines", "second rot line"],
+)
+def test_repeated_records_are_rejected(loader, text):
+    with pytest.raises(ValueError):
+        loader(text)
+
+
 @pytest.mark.parametrize("header", [f"{MAX_VERTICES + 1} 0", f"3 {MAX_EDGES + 1}", "3000000 0", "3 -1"])
 def test_oversized_or_negative_header_rejected_fast(header):
     start = time.perf_counter()
