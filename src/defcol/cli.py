@@ -9,8 +9,8 @@ input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cnf import export_cnf
@@ -117,8 +117,74 @@ def _coloring_json(g: Graph, coloring: dict | None):
     return {str(g.index_of(v)): c for v, c in coloring.items()}
 
 
+def _dumps(doc) -> str:
+    """Return exactly `json.dumps(doc, indent=2, sort_keys=True)`.
+
+    With `indent`, the stdlib encoder falls back to nested Python generators,
+    which cost about as much as building an audit. This writer makes one
+    recursive pass that appends chunks to one list and joins them once.
+    Strings are encoded by the C escaper, each distinct key is encoded once,
+    and each depth's separators are built once. Values are str, int, bool,
+    None, list, tuple or dict with str keys; anything else, floats and
+    Fractions included, raises TypeError.
+    """
+    chunks: list[str] = []
+    append = chunks.append
+    keys: dict[str, str] = {}
+    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
+    seps = [",\n"]  # seps[d]: the item separator at depth d
+
+    def write(obj, depth: int) -> None:
+        if isinstance(obj, str):
+            append(encode_basestring_ascii(obj))
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple, dict)):
+            if not obj:
+                append("{}" if isinstance(obj, dict) else "[]")
+                return
+            inner = depth + 1
+            if inner == len(breaks):
+                breaks.append(breaks[-1] + "  ")
+                seps.append(seps[-1] + "  ")
+            lead, sep = breaks[inner], seps[inner]
+            if isinstance(obj, dict):
+                append("{")
+                for k in sorted(obj):
+                    key = keys.get(k)
+                    if key is None:
+                        if not isinstance(k, str):
+                            raise TypeError(f"keys must be str, not {type(k).__name__}")
+                        key = keys[k] = encode_basestring_ascii(k) + ": "
+                    append(lead)
+                    append(key)
+                    lead = sep
+                    write(obj[k], inner)
+                append(breaks[depth])
+                append("}")
+            else:
+                append("[")
+                for v in obj:
+                    append(lead)
+                    lead = sep
+                    write(v, inner)
+                append(breaks[depth])
+                append("]")
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    write(doc, 0)
+    return "".join(chunks)
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_dumps(doc))
 
 
 def _emit_outcome(g: Graph, outcome: SolveOutcome, budget: int | None) -> int:
@@ -227,7 +293,7 @@ def _cmd_audit(args) -> int:
     ruleset = RULESETS[args.ruleset]
     doc = build_audit(emb, ruleset)
     if args.out:
-        _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(args.out, _dumps(doc) + "\n")
         _emit({"format": "defcol-audit v1", "written": args.out})
     else:
         _emit(doc)

@@ -18,7 +18,6 @@ Classification vocabulary:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -206,8 +205,10 @@ class EmbeddingAnalysis:
         return None
 
     @cached_property
-    def boundaries(self) -> tuple[Counter, ...]:
-        return tuple(f.edge_multiset() for f in self.classified.faces)
+    def boundaries(self) -> tuple[frozenset, ...]:
+        """One hashable key per face: its boundary edge multiset as a
+        frozenset of (edge, multiplicity) pairs."""
+        return tuple(frozenset(f.edge_multiset().items()) for f in self.classified.faces)
 
     def coincident(self, i: int, j: int) -> bool:
         """True when two distinct faces have the same boundary edges."""
@@ -475,12 +476,8 @@ def check_vertex_profiles(
     for v in analysis.emb.graph.vertices:
         d = tags.degree[v]
         a, b, c = tags.alpha[v], tags.beta[v], tags.gamma[v]
-        incident = tags.incident_three_faces[v]
-        degenerate = any(
-            analysis.coincident(incident[p], incident[q])
-            for p in range(len(incident))
-            for q in range(p + 1, len(incident))
-        )
+        faces = set(tags.incident_three_faces[v])
+        degenerate = len({analysis.boundaries[i] for i in faces}) < len(faces)
         detail = {
             "degree": d,
             "alpha": a,

@@ -1,12 +1,28 @@
+import hashlib
 import json
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defcol import cycles_of_length, dump_embedding, dump_graph, load_graph, make_graph
-from defcol.cli import main
+from defcol import (
+    RULESETS,
+    cycles_of_length,
+    dump_embedding,
+    dump_graph,
+    load_embedding,
+    load_graph,
+    make_graph,
+)
+from defcol.cli import _dumps, main
 
-from corpus import k3_embedding
+from corpus import corpus, k3_embedding
+
+AUDIT_DIGESTS = json.loads((Path(__file__).parent / "audit_digests.json").read_text())
+CORPUS = corpus()
 
 
 def run(capsys, *argv):
@@ -312,6 +328,103 @@ class TestAuditCommand:
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--embedding", str(emb_path), "--ruleset", "99"])
         assert exc.value.code == 2
+
+
+def indented(text: str) -> str:
+    """The report json.dumps(indent=2, sort_keys=True) writes for the same
+    document, with print's newline."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportBytes:
+    """Every report is exactly the stdlib's indent=2, sort_keys=True text."""
+
+    @pytest.mark.parametrize("ruleset", sorted(RULESETS))
+    @pytest.mark.parametrize("name,emb", CORPUS, ids=[n for n, _ in CORPUS])
+    def test_audit_stdout_and_file_match_recorded_digests(
+        self, tmp_path, capsys, name, emb, ruleset
+    ):
+        text = dump_embedding(emb)
+        path = tmp_path / "in.emb"
+        path.write_text(text)
+        # a labelled fixture comes back from its file with index vertex ids,
+        # which the audit names, so its file form has digests of its own
+        # (recorded from the stdlib writer's output)
+        same_ids = load_embedding(text).graph.vertices == emb.graph.vertices
+        key = f"{name}/{ruleset}" if same_ids else f"{name}.emb/{ruleset}"
+        code, out, _ = run(capsys, "audit", "--embedding", str(path), "--ruleset", ruleset)
+        assert code == 0
+        assert out.endswith("}\n")
+        assert hashlib.sha256(out[:-1].encode()).hexdigest() == AUDIT_DIGESTS[key]
+        target = tmp_path / "audit.json"
+        code, _, _ = run(capsys, "audit", "--embedding", str(path), "--ruleset", ruleset,
+                         "--out", str(target))
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+
+    def test_lemmas_and_sat_solve_reports_on_non1k(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "gadget", "non1k", "--k", "1", "--out", str(tmp_path / "g"))
+        assert code == 0
+        assert out == indented(out)
+        code, out, _ = run(capsys, "check", "lemmas", "--embedding", str(tmp_path / "g.emb"))
+        assert code == 0
+        assert out == indented(out)
+        code, out, _ = run(capsys, "solve", "--graph", str(tmp_path / "g.graph"),
+                           "--spec", "4,4", "--budget", "100000")
+        assert code == 0
+        assert len(json.loads(out)["coloring"]) >= 100
+        assert out == indented(out)
+
+
+# '"', '\\', control characters, non-ASCII and astral characters, each
+# drawn often, beside arbitrary code points
+TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "\u00e9",
+                          "\u2028", "\u20ac", "\U0001f600", "\U0010ffff"])
+STRINGS = st.text(st.one_of(TRICKY, st.characters()), max_size=6)
+SCALARS = st.one_of(
+    STRINGS,
+    st.integers(-2, 2),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+)
+
+
+def trees(depth: int):
+    """JSON trees of dicts, lists and tuples at most `depth` containers deep."""
+    if depth == 0:
+        return SCALARS
+    sub = trees(depth - 1)
+    return st.one_of(
+        SCALARS,
+        st.lists(sub, max_size=3),
+        st.lists(sub, max_size=3).map(tuple),
+        st.dictionaries(STRINGS, sub, max_size=3),
+    )
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(trees(8))
+    def test_matches_stdlib_indent_sort_keys(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    def test_deep_nesting(self):
+        tree = {"leaf": "x", "empty": [{}, [], ()]}
+        for i in range(300):
+            tree = [tree] if i % 2 else [i, tree]
+        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"charge": Fraction(1, 2)}, [Fraction(-3)], {1: "a"}, {"a": {None: 1}}, [0.5]],
+        ids=["fraction_value", "fraction_in_list", "int_key", "none_key", "float"],
+    )
+    def test_values_outside_the_report_types_raise(self, doc):
+        # charge ledgers are stringified by build_audit, never by the writer
+        with pytest.raises(TypeError):
+            _dumps(doc)
 
 
 class TestUsageErrors:
