@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import groupby, product
 from typing import Iterable, Mapping
 
 from .graphs import Graph, Vertex, delete_vertex
@@ -93,9 +93,10 @@ class SolveOutcome:
     nodes: int
     # Search statistics from `solve`: decisions (equal to nodes),
     # pieces_closed, cache_hits, cache_misses, max_nesting, split_visits
-    # (vertices the piece searches reached beyond their seeds) and
-    # pick_scans (vertices the branching picks examined: the static-order
-    # scan, and the entries of `lost` read with three or more colors).
+    # (vertices the piece searches reached beyond their seeds), pick_scans
+    # (vertices the branching picks examined: the static-order scan, and
+    # the entries of `lost` read with three or more colors) and
+    # knapsack_sums (the candidate totals the knapsacks formed).
     stats: Mapping[str, int] = field(default_factory=dict)
 
     @property
@@ -192,11 +193,11 @@ def solve(
     coloring. A piece with no binding attachment has one budget, the empty
     one. Profiles are cached by the piece's complete local instance
     (allowed colors, adjacency, attachment colors and slack), so
-    interchangeable copies are searched once. A piece that needs none of
-    the contested slack is placed at once. A knapsack over the
-    attachments' slack combines the other profiles into the Pareto-minimal
-    reservations; the main line branches over them, and each choice
-    reserves its slack and places its witnesses.
+    interchangeable copies are searched once. A piece that needs none of the
+    contested slack is placed at once. A knapsack over the attachments'
+    slack folds the other profiles, a run of identical copies at a time,
+    into the Pareto-minimal reservations; the main line branches over them,
+    and each choice reserves its slack and places its witnesses.
 
     A closed piece is never larger than the piece that continues, so
     sub-searches nest at most log2(n) deep.
@@ -247,7 +248,7 @@ def solve(
     stamp = [0] * n  # split(): the epoch that last reached a vertex
     reached_by = [0] * n  # split(): the search that reached it
     cache: dict[tuple, list] = {}
-    nodes = closed = hits = misses = nesting = scopes = epoch = visits = scans = 0
+    nodes = closed = hits = misses = nesting = scopes = epoch = visits = scans = sums = 0
     # Colored-neighbor counts raised since the current decision began: with
     # fewer than two, nothing can have fallen apart and split() is skipped.
     fresh = 0
@@ -454,7 +455,7 @@ def solve(
     def close(sid: int, pieces: list[list[int]], depth: int):
         """Close off split()'s pieces. Returns None when none is left
         pending, False on a conflict, else (attachments, reservations)."""
-        nonlocal closed
+        nonlocal closed, sums
         demand: dict[int, int] = {}
         plans = []
         for piece in pieces:
@@ -495,7 +496,9 @@ def solve(
             else:
                 # It needs none of the contested slack: place it now.
                 place(piece, entries[0][1])
-        return knapsack(pending) if pending else None
+        outcome, formed = _knapsack(pending, slack) if pending else (None, 0)
+        sums += formed
+        return outcome
 
     def rescope(sid: int, piece: list[int]) -> int:
         """Move a piece from scope sid to a new scope of its own."""
@@ -543,36 +546,6 @@ def solve(
             undo(mark)
         cache[key] = entries
         return entries
-
-    def knapsack(pending):
-        """Pareto-minimal slack reservations that fit every binding
-        attachment, cheapest first, each with the witnesses it places."""
-        atts: list[int] = []
-        where: dict[int, int] = {}
-        for binding, _, _ in pending:
-            for y in binding:
-                if y not in where:
-                    where[y] = len(atts)
-                    atts.append(y)
-        room = [slack[y] for y in atts]
-        front: dict[tuple[int, ...], tuple | None] = {(0,) * len(atts): None}
-        for binding, entries, piece in pending:
-            slots = [where[y] for y in binding]
-            grown: dict[tuple[int, ...], tuple] = {}
-            for total, chain in front.items():
-                for vec, witness in entries:
-                    t = list(total)
-                    for i, v in zip(slots, vec):
-                        t[i] += v
-                    if all(t[i] <= room[i] for i in slots):
-                        grown.setdefault(tuple(t), (chain, piece, witness))
-            front = {
-                t: chain for t, chain in grown.items()
-                if not any(o != t and all(a <= b for a, b in zip(o, t)) for o in grown)
-            }
-            if not front:
-                return False
-        return atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def search(sid: int, scope: list[int], mark: int, depth: int) -> bool:
         """Color every vertex of scope sid; `scope` lists them in branching
@@ -688,9 +661,56 @@ def solve(
         "max_nesting": nesting,
         "split_visits": visits,
         "pick_scans": scans,
+        "knapsack_sums": sums,
     }
     coloring = {verts[i]: color[i] for i in range(n)} if result == SAT else None
     return SolveOutcome(result, coloring, nodes, stats)
+
+
+def _knapsack(pending, room):
+    """Pareto-minimal slack reservations, cheapest first, for the (binding
+    attachments, entries, piece) triples in `pending` within room[y] of each
+    attachment y, and the count of candidate totals formed. A reservation's
+    chain of (chain, vertices, colors) links places the lexicographically
+    first entry sequence that reaches its total. A run of n pieces with equal
+    binding and one list of one or two entries folds at once: the first c
+    take the first entry and the rest the last, for c = n..0."""
+    atts = list(dict.fromkeys(y for binding, _, _ in pending for y in binding))
+    cap = [room[y] for y in atts]
+    front: dict[tuple[int, ...], tuple | None] = {(0,) * len(atts): None}
+    formed = i = 0
+    while i < len(pending):
+        binding, entries, _ = pending[i]
+        j, options = i + 1, entries
+        if len(entries) <= 2:
+            while j < len(pending) and pending[j][1] is entries and pending[j][0] == binding:
+                j += 1
+            n = j - i
+            (first, w1), (last, w2) = entries[0], entries[-1]
+            options = [([c * a + (n - c) * b for a, b in zip(first, last)], w1 * c + w2 * (n - c))
+                       for c in (range(n, -1, -1) if len(entries) == 2 else (n,))]
+        run = [x for _, _, piece in pending[i:j] for x in piece]
+        slots = [atts.index(y) for y in binding]
+        grown: dict[tuple[int, ...], tuple] = {}
+        for total, chain in front.items():
+            for vec, colors in options:
+                t = list(total)
+                for s, v in zip(slots, vec):
+                    t[s] += v
+                if all(t[s] <= cap[s] for s in slots):
+                    grown.setdefault(tuple(t), (chain, run, colors))
+        formed += len(front) * len(options)
+        # One total plus an antichain of options is an antichain. Otherwise
+        # only a total with a smaller coordinate sum can lie below another.
+        if len(front) > 1:
+            kept: set[tuple[int, ...]] = set()
+            for _, level in groupby(sorted(grown, key=sum), key=sum):
+                kept |= {t for t in level if not any(all(a <= b for a, b in zip(o, t)) for o in kept)}
+            grown = {t: chain for t, chain in grown.items() if t in kept}
+        if not grown:
+            return False, formed
+        front, i = grown, j
+    return (atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))), formed
 
 
 def brute_force_oracle(

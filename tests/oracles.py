@@ -1,8 +1,9 @@
 """Independent reference implementations used only to audit the package.
 
 Everything here is deliberately naive: cycle enumeration over raw vertex
-permutations, and a tiny DPLL for checking exported CNF documents. None of
-it shares code with the package under test.
+permutations, a tiny DPLL for checking exported CNF documents, and the
+solver's slack knapsack as it was before it folded runs of identical pieces
+at once. None of it shares code with the package under test.
 """
 
 from __future__ import annotations
@@ -134,3 +135,35 @@ def dpll(clauses, num_vars, assumptions=()):
 
 def model_to_lits(model, num_vars):
     return [v if v in model else -v for v in range(1, num_vars + 1)]
+
+
+def knapsack_one_at_a_time(pending, slack):
+    """The solver's knapsack folding pending pieces in one at a time, with a
+    Pareto filter over all pairs: False, or (attachments, reservations)
+    whose chains link (chain, piece, witness) nodes back to None."""
+    atts: list[int] = []
+    where: dict[int, int] = {}
+    for binding, _, _ in pending:
+        for y in binding:
+            if y not in where:
+                where[y] = len(atts)
+                atts.append(y)
+    room = [slack[y] for y in atts]
+    front: dict[tuple[int, ...], tuple | None] = {(0,) * len(atts): None}
+    for binding, entries, piece in pending:
+        slots = [where[y] for y in binding]
+        grown: dict[tuple[int, ...], tuple] = {}
+        for total, chain in front.items():
+            for vec, witness in entries:
+                t = list(total)
+                for i, v in zip(slots, vec):
+                    t[i] += v
+                if all(t[i] <= room[i] for i in slots):
+                    grown.setdefault(tuple(t), (chain, piece, witness))
+        front = {
+            t: chain for t, chain in grown.items()
+            if not any(o != t and all(a <= b for a, b in zip(o, t)) for o in grown)
+        }
+        if not front:
+            return False
+    return atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))

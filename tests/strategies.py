@@ -65,4 +65,65 @@ def blocks_and_separators(draw):
     return make_graph(n, sorted(edges)), spec, ConstraintSet(forced=forced)
 
 
+
+@st.composite
+def knapsack_inputs(draw):
+    """Pending pieces for the solver's knapsack, with the slack room of
+    their attachments.
+
+    Pieces come in runs of 1-20 copies (1-4 past two entries) that share
+    one binding list and one entries list. A kind may recur in a later run;
+    it may share its entries list with another kind bound elsewhere, or its
+    entry vectors with another kind bound alike. Each kind binds 1-3 of
+    three attachments and has 1-4 entries: a nonzero antichain sorted by
+    total, as a profile's are, with a witness of its own per entry. Each
+    room lies between the midpoint of the least and the most its pieces can
+    demand and the most or, in half the draws, between 0, where no piece
+    fits, and the most.
+    """
+    kinds = []
+    for kind in range(draw(st.sampled_from([3, 2, 1]))):
+        if kinds and draw(st.booleans()):
+            binding, entries, size = kinds[-1]
+            if draw(st.booleans()):
+                entries = [(v, tuple(range(10 * kind + e, 10 * kind + e + size)))
+                           for e, (v, _) in enumerate(entries)]
+            else:
+                binding = draw(st.permutations(range(3)))[:len(binding)]
+            kinds.append((binding, entries, size))
+            continue
+        width = draw(st.sampled_from([2, 3, 1]))
+        binding = draw(st.lists(st.integers(0, 2), min_size=width, max_size=width, unique=True))
+        count = 1 if width == 1 else draw(st.integers(1, 4))
+        if count == 1:
+            vecs = [draw(st.tuples(*[st.integers(0, 3)] * width).filter(any))]
+        else:
+            # A first coordinate that rises while the second falls keeps
+            # the entries an antichain.
+            distinct = st.lists(st.integers(0, 4), min_size=count, max_size=count, unique=True)
+            rest = st.tuples(*[st.integers(0, 3)] * (width - 2))
+            vecs = [(a, b, *draw(rest)) for a, b in zip(sorted(draw(distinct)),
+                                                           sorted(draw(distinct), reverse=True))]
+        vecs.sort(key=lambda v: (sum(v), v))
+        size = draw(st.integers(1, 3))
+        entries = [(v, tuple(range(10 * kind + e, 10 * kind + e + size))) for e, v in enumerate(vecs)]
+        kinds.append((binding, entries, size))
+    pending = []
+    low = dict.fromkeys(range(3), 0)
+    high = dict.fromkeys(range(3), 0)
+    for _ in range(draw(st.sampled_from([3, 4, 2, 1]))):
+        binding, entries, size = kinds[draw(st.integers(0, len(kinds) - 1))]
+        # Pieces of more than two entries fold one at a time; a few keep
+        # the reference's quadratic filter fast.
+        for _ in range(draw(st.integers(1, 20 if len(entries) <= 2 else 4))):
+            base = 100 + 10 * len(pending)
+            pending.append((binding, entries, list(range(base, base + size))))
+            for i, y in enumerate(binding):
+                low[y] += min(vec[i] for vec, _ in entries)
+                high[y] += max(vec[i] for vec, _ in entries)
+    starved = draw(st.booleans())
+    room = {y: draw(st.integers(0 if starved else (low[y] + high[y]) // 2, high[y])) for y in range(3)}
+    return pending, room
+
+
 SPECS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2)]

@@ -123,7 +123,7 @@ class TestSolveCommand:
         assert set(doc) == {"format", "outcome", "coloring", "nodes", "budget", "stats"}
         assert doc["stats"] == {"decisions": doc["nodes"], "pieces_closed": 0,
                                 "cache_hits": 0, "cache_misses": 0, "max_nesting": 0,
-                                "split_visits": 0, "pick_scans": 3}
+                                "split_visits": 0, "pick_scans": 3, "knapsack_sums": 0}
 
 
 class TestForcedColors:

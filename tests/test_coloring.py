@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defcol import (
@@ -25,7 +25,8 @@ from defcol import coloring
 from defcol.cli import main
 
 from corpus import fused_hexagons
-from strategies import SPECS, blocks_and_separators, graphs
+from oracles import knapsack_one_at_a_time
+from strategies import SPECS, blocks_and_separators, graphs, knapsack_inputs
 
 
 def k_n(n):
@@ -245,7 +246,8 @@ class TestSearchPins:
         # one profile; no two fit the slack of z and x1 together.
         assert out.stats == {"decisions": nodes, "pieces_closed": 2 * k + 1,
                              "cache_hits": 2 * k, "cache_misses": 1, "max_nesting": 1,
-                             "split_visits": 8 * k + 5, "pick_scans": 0}
+                             "split_visits": 8 * k + 5, "pick_scans": 0,
+                             "knapsack_sums": 2 * k + 2}
 
     def test_non_1k_unsat_node_count(self):
         out = solve(non_1k(1).graph, (1, 1), budget=10**6)
@@ -281,6 +283,10 @@ class TestSearchPins:
         assert doc["outcome"] == "sat"
         coloring = {g.vertices[int(i)]: c for i, c in doc["coloring"].items()}
         assert is_valid_coloring(g, (2, 2), coloring)
+
+
+TWIN_A = [((0, 1), (1,)), ((1, 0), (2,))]
+TWIN_B = [((0, 1), (3,)), ((1, 0), (4,))]
 
 
 class TestComponentProfiles:
@@ -395,6 +401,49 @@ class TestComponentProfiles:
         for out in (kept, profiled):
             if out.is_sat:
                 assert is_valid_coloring(g, spec, out.coloring)
+
+    def test_non_1k_search_stays_the_same_as_k_grows(self):
+        # Only the number of identical lane copies grows with k, and the
+        # knapsack folds each run of them in one step: its candidate totals
+        # grow linearly in k, not quadratically.
+        sums = {}
+        for k in (12, 24, 48):
+            out = solve(non_1k(k).graph, (1, k), budget=10**4)
+            assert out.is_unsat
+            assert out.nodes == 59
+            assert (out.stats["cache_misses"], out.stats["pieces_closed"]) == (12, 122 * k + 34)
+            sums[k] = out.stats["knapsack_sums"]
+        assert sums[48] <= 2 * sums[24] + 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(knapsack_inputs())
+    # Two runs with equal vectors but witnesses of their own: a total that
+    # both reach must keep the first run's first entry on more copies.
+    @example(([([0, 1], twin, [10 + i]) for i, twin in enumerate([TWIN_A] * 2 + [TWIN_B] * 2)],
+              {0: 5, 1: 5}))
+    def test_knapsack_matches_folding_one_piece_at_a_time(self, instance):
+        pending, room = instance
+        reference = knapsack_one_at_a_time(pending, room)
+        result, formed = coloring._knapsack(pending, room)
+        assert formed > 0
+        if not any(room.values()):
+            assert result is False
+        if reference is False:
+            assert result is False
+            return
+
+        def flatten(chain):
+            # Every (vertex, color) the chain places, in pending order.
+            pairs = []
+            while chain:
+                chain, piece, witness = chain
+                pairs[:0] = zip(piece, witness)
+            return pairs
+
+        (atts, reservations), (ref_atts, ref_reservations) = result, reference
+        assert atts == ref_atts
+        assert [t for t, _ in reservations] == [t for t, _ in ref_reservations]
+        assert [flatten(c) for _, c in reservations] == [flatten(c) for _, c in ref_reservations]
 
     @settings(max_examples=150, deadline=None)
     @given(blocks_and_separators())
