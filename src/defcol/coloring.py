@@ -1,6 +1,7 @@
 """Defective colorings: validity semantics, an exact backtracking solver with
-defect-capacity propagation, an independent brute-force oracle, and the
-extension / deletion checks used by the structural validators.
+defect-capacity propagation, an independent brute-force oracle, and two
+checks on one vertex v: whether every coloring of g - v extends to v, and
+whether deleting v preserves colorability.
 
 A coloring with defect vector (d1, ..., dk) assigns each vertex a color in
 1..k so that a vertex of color i has at most d_i neighbors of the same

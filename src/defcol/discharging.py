@@ -181,8 +181,8 @@ class EmbeddingAnalysis:
     """The structure of one embedding, computed once and shared by the rules,
     the validators and the audit. Build it with `analyze`.
 
-    The c4c5 scan and the boundary edge multisets are computed on first use,
-    so classifying or applying rules never pays for them.
+    The c4c5 scan is computed on first use, so classifying or applying rules
+    never pays for it.
     """
 
     emb: PlaneEmbedding
@@ -203,16 +203,6 @@ class EmbeddingAnalysis:
         if not is_c4c5_free(self.emb.graph):
             return "graph contains a 4-cycle or 5-cycle"
         return None
-
-    @cached_property
-    def boundaries(self) -> tuple[frozenset, ...]:
-        """One hashable key per face: its boundary edge multiset as a
-        frozenset of (edge, multiplicity) pairs."""
-        return tuple(frozenset(f.edge_multiset().items()) for f in self.classified.faces)
-
-    def coincident(self, i: int, j: int) -> bool:
-        """True when two distinct faces have the same boundary edges."""
-        return i != j and self.boundaries[i] == self.boundaries[j]
 
 
 def analyze(source: PlaneEmbedding | EmbeddingAnalysis) -> EmbeddingAnalysis:
@@ -390,16 +380,16 @@ class ValidationReport:
 
 
 def _validator(name: str):
-    """Make a validator from a judge that yields one item per element of a
-    certified, c4c5-free analysis. The validator takes an embedding or its
-    analysis and reports an input it cannot judge as degenerate."""
+    """Make a validator from a judge of the classification of a certified,
+    c4c5-free embedding. The validator takes an embedding or its analysis
+    and reports an input it cannot judge as degenerate."""
 
     def wrap(judge):
         def validator(source: PlaneEmbedding | EmbeddingAnalysis) -> ValidationReport:
             analysis = analyze(source)
             if analysis.validator_reason:
                 return ValidationReport(name, DEGENERATE, (), analysis.validator_reason)
-            items = tuple(judge(analysis, analysis.tags))
+            items = tuple(judge(analysis.tags))
             status = PASS
             if any(i.status == DEGENERATE for i in items):
                 status = DEGENERATE
@@ -414,35 +404,43 @@ def _validator(name: str):
     return wrap
 
 
+def _doubly_covered_triangle(tags: StructureTags) -> bool:
+    """True when the embedding is K3: in a connected plane graph, the one
+    way for two distinct 3-faces to have the same boundary edge multiset.
+
+    Each shared edge separates the two faces (with both sides on one face it
+    would need more sides to appear on the other), so no other edge meets a
+    boundary vertex and the graph is the boundary. Euler then forces a
+    cycle, here a triangle.
+    """
+    return tags.face_degree == (3, 3)
+
+
 @_validator("bad2_face_degrees")
-def check_bad2_face_degrees(
-    analysis: EmbeddingAnalysis, tags: StructureTags
-) -> Iterator[ValidationItem]:
+def check_bad2_face_degrees(tags: StructureTags) -> Iterator[ValidationItem]:
     """Every bad 2-vertex must have its non-triangle face of degree >= 7.
 
-    Embeddings where the two faces at the 2-vertex coincide, or share the
-    same boundary edges (a doubly-covered triangle), are flagged degenerate
-    rather than judged.
+    Its two faces are distinct: one is a 3-face, and a walk of length 3
+    cannot hold both darts out of a 2-vertex. On a doubly-covered triangle
+    (K3) they share the same boundary edges, so its vertices are flagged
+    degenerate rather than judged.
     """
-    for v in analysis.emb.graph.vertices:
+    doubly_covered = _doubly_covered_triangle(tags)
+    for v in tags.degree:
         if v not in tags.bad_two_vertices:
             continue
-        f1, f2 = tags.corners[v]
-        if f1 == f2:
-            yield ValidationItem(v, DEGENERATE, {"why": "one face covers both corners"})
-        elif analysis.coincident(f1, f2):
+        if doubly_covered:
             yield ValidationItem(v, DEGENERATE, {"why": "faces share identical boundaries"})
-        else:
-            other = f2 if tags.face_degree[f1] == 3 else f1
-            d = tags.face_degree[other]
-            status = PASS if d >= 7 else FAIL
-            yield ValidationItem(v, status, {"other_face": other, "other_degree": d})
+            continue
+        f1, f2 = tags.corners[v]
+        other = f2 if tags.face_degree[f1] == 3 else f1
+        d = tags.face_degree[other]
+        status = PASS if d >= 7 else FAIL
+        yield ValidationItem(v, status, {"other_face": other, "other_degree": d})
 
 
 @_validator("big_face_bad2_capacity")
-def check_big_face_bad2_capacity(
-    analysis: EmbeddingAnalysis, tags: StructureTags
-) -> Iterator[ValidationItem]:
+def check_big_face_bad2_capacity(tags: StructureTags) -> Iterator[ValidationItem]:
     """Every simple-cycle face of degree k >= 7 carries at most k - 6
     bad-2-vertex incidences (counted with walk multiplicity).
 
@@ -453,7 +451,7 @@ def check_big_face_bad2_capacity(
         if d < 7:
             continue
         walk = tags.face_walk_vertices[i]
-        count = sum(1 for u in walk if u in tags.bad_two_vertices)
+        count = len(tags.face_bad_two.get(i, ()))
         if len(set(walk)) != len(walk):
             why = "boundary walk revisits a vertex"
             yield ValidationItem(i, DEGENERATE, {"why": why, "degree": d, "bad2": count})
@@ -463,21 +461,17 @@ def check_big_face_bad2_capacity(
 
 
 @_validator("vertex_profiles")
-def check_vertex_profiles(
-    analysis: EmbeddingAnalysis, tags: StructureTags
-) -> Iterator[ValidationItem]:
+def check_vertex_profiles(tags: StructureTags) -> Iterator[ValidationItem]:
     """Per vertex: alpha <= floor(d/2) and 2*alpha + beta + gamma <= d.
 
     A second, differently weighted bound (2*beta + alpha + gamma <= d) is
     recorded per vertex for documentation but never judged: it fails on
     ordinary cycles, and the charge arithmetic consistently relies on the
-    first form. Vertices on a doubly-covered triangle are degenerate.
+    first form. Vertices on a doubly-covered triangle (K3) are degenerate.
     """
-    for v in analysis.emb.graph.vertices:
-        d = tags.degree[v]
+    doubly_covered = _doubly_covered_triangle(tags)
+    for v, d in tags.degree.items():
         a, b, c = tags.alpha[v], tags.beta[v], tags.gamma[v]
-        faces = set(tags.incident_three_faces[v])
-        degenerate = len({analysis.boundaries[i] for i in faces}) < len(faces)
         detail = {
             "degree": d,
             "alpha": a,
@@ -485,7 +479,7 @@ def check_vertex_profiles(
             "gamma": c,
             "alt_form_holds": 2 * b + a + c <= d,
         }
-        if degenerate:
+        if doubly_covered:
             detail["why"] = "incident 3-faces share identical boundaries"
             yield ValidationItem(v, DEGENERATE, detail)
         else:

@@ -8,7 +8,6 @@ V - E + F = 2 on the traced faces.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,10 +42,6 @@ class Face:
     def vertices(self) -> tuple[Vertex, ...]:
         """Boundary vertices in walk order, with multiplicity."""
         return tuple(u for u, _ in self.walk)
-
-    def edge_multiset(self) -> Counter:
-        """Undirected boundary edges with multiplicity (bridges count twice)."""
-        return Counter(frozenset(d) for d in self.walk)
 
 
 class PlaneEmbedding:

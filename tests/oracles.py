@@ -1,14 +1,16 @@
 """Independent reference implementations used only to audit the package.
 
 Everything here is deliberately naive: cycle enumeration over raw vertex
-permutations, a tiny DPLL for checking exported CNF documents, and the
-solver's slack knapsack as it was before it folded runs of identical pieces
-at once. None of it shares code with the package under test.
+permutations, a tiny DPLL for checking exported CNF documents, the solver's
+slack knapsack as it was before it folded runs of identical pieces at once,
+and the validators' degeneracy checks as they were before they judged the
+classification alone. None of it shares code with the package under test.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import permutations
 
 
@@ -167,3 +169,30 @@ def knapsack_one_at_a_time(pending, slack):
         if not front:
             return False
     return atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))
+
+
+def boundary_degeneracy(tags):
+    """Per vertex, the degeneracy verdicts of bad2_face_degrees and
+    vertex_profiles by comparing faces' boundary edge multisets: the `why`
+    of a degenerate bad 2-vertex (else None), and whether the vertex's
+    incident 3-faces include two with the same boundary."""
+    boundaries = tuple(
+        frozenset(Counter(frozenset(d) for d in f.walk).items()) for f in tags.faces
+    )
+
+    def coincident(i, j):
+        return i != j and boundaries[i] == boundaries[j]
+
+    verdicts = {}
+    for v in tags.degree:
+        why = None
+        if v in tags.bad_two_vertices:
+            f1, f2 = tags.corners[v]
+            if f1 == f2:
+                why = "one face covers both corners"
+            elif coincident(f1, f2):
+                why = "faces share identical boundaries"
+        faces = set(tags.incident_three_faces[v])
+        degenerate = len({boundaries[i] for i in faces}) < len(faces)
+        verdicts[v] = (why, degenerate)
+    return verdicts

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from defcol import ConstraintSet, make_graph
+from defcol import ConstraintSet, PlaneEmbedding, is_c4c5_free, make_graph
 
 
 @st.composite
@@ -26,6 +26,24 @@ def graphs_with_edge(draw, max_n=7):
         i = draw(st.integers(0, g.vertex_count - 2))
         return make_graph(g.vertex_count, [(i, i + 1)]), (i, i + 1)
     return g, draw(st.sampled_from(edges))
+
+
+@st.composite
+def c4c5_free_rotations(draw, max_n=7):
+    """A connected graph on 1..max_n vertices free of 4- and 5-cycles, with
+    a random cyclic order at every vertex; the rotation need not be planar.
+
+    A random spanning tree keeps the graph connected; each further drawn
+    edge is kept when it closes no 4- or 5-cycle.
+    """
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        if is_c4c5_free(make_graph(n, edges | {pair})):
+            edges.add(pair)
+    g = make_graph(n, sorted(edges))
+    return PlaneEmbedding(g, {v: draw(st.permutations(g.ordered_neighbors(v))) for v in g.vertices})
 
 
 @st.composite

@@ -178,6 +178,42 @@ class TestOutputErrors:
         assert err.count("\n") == 1
 
 
+class TestInputErrors:
+    """Malformed input exits 2 with a one-line message and no report."""
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--spec", ""], "malformed spec ''; expected e.g. 1,1"),
+            (None, "either --graph or --embedding is required"),
+            (["--force", "q=1"], "unknown vertex 'q'"),
+            (["--force", "9999=1"], "vertex index 9999 out of range"),
+            (["--force", "1"], "expected v=c, got '1'"),
+            (["--force", "1=x"], "malformed color in '1=x'"),
+        ],
+        ids=["empty_spec", "no_input", "unknown_label", "index_out_of_range",
+             "no_equals", "malformed_color"],
+    )
+    def test_exits_two(self, tmp_path, capsys, flags, message):
+        if flags is None:
+            argv = ["solve", "--spec", "1,1"]
+        else:
+            argv = ["solve", "--graph", c5_file(tmp_path), "--spec", "1,1", *flags]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"defcol: error: {message}\n")
+
+    def test_embedding_input_solves_like_its_graph(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gadget", "huv", "--out", str(tmp_path / "huv"))
+        assert code == 0
+        reports = [
+            run(capsys, "solve", flag, str(tmp_path / f"huv.{ext}"), "--spec", "1,1",
+                "--force", "u=2", "--forbid", "a=2")
+            for flag, ext in (("--graph", "graph"), ("--embedding", "emb"))
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
+
 class TestOracleCommand:
     def test_matches_solve(self, tmp_path, capsys):
         path = k4_file(tmp_path)

@@ -305,15 +305,18 @@ class TestComponentProfiles:
         assert out.nodes == 6
         assert (out.stats["cache_hits"], out.stats["max_nesting"]) == (55, 1)
 
-    def test_budget_stop_inside_a_sub_search_is_never_unsat(self):
-        g = non_1k(2).graph
-        full = solve(g, (1, 2), budget=10**4)
+    # At (1,1) the search of non_1k(1) branches twice over two
+    # reservations, so some budgets run out at a reservation choice.
+    @pytest.mark.parametrize("k,spec", [(2, (1, 2)), (1, (1, 1))], ids=["non_1k_2", "non_1k_1"])
+    def test_budget_stop_inside_a_sub_search_is_never_unsat(self, k, spec):
+        g = non_1k(k).graph
+        full = solve(g, spec, budget=10**4)
         assert full.is_unsat
         for budget in range(1, full.nodes):
-            out = solve(g, (1, 2), budget=budget)
+            out = solve(g, spec, budget=budget)
             assert out.exceeded_budget, budget
             assert out.nodes == budget + 1
-        assert solve(g, (1, 2), budget=full.nodes) == full
+        assert solve(g, spec, budget=full.nodes) == full
 
     def test_cache_needs_the_whole_local_instance(self):
         hub = hub_gadget(2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
 
 import defcol.discharging as discharging
 import defcol.embedding as embedding
@@ -40,10 +41,13 @@ from corpus import (
     face_2_6_6,
     fused_hexagons,
     k3_embedding,
+    pendant_triangle,
     triangle_with_cycle,
     vertex7_one_triangle,
     vertex11_one_triangle,
 )
+from oracles import boundary_degeneracy
+from strategies import c4c5_free_rotations
 
 CORPUS = corpus()
 CORPUS_IDS = [n for n, _ in CORPUS]
@@ -288,6 +292,20 @@ class TestValidators:
         assert report.status == "pass"
         assert all(item.status == "pass" for item in report.items)
 
+    def test_bad2_face_degrees_fails_on_pendant_triangle(self, tmp_path, capsys):
+        # the 2-vertices 1 and 2 sit between the triangle and a 5-face
+        report = check_bad2_face_degrees(pendant_triangle())
+        assert report.status == "fail"
+        assert [(i.element, i.status, i.detail["other_degree"]) for i in report.items] == [
+            (1, "fail", 5),
+            (2, "fail", 5),
+        ]
+        path = tmp_path / "pendant_triangle.emb"
+        path.write_text(dump_embedding(pendant_triangle()))
+        assert main(["check", "lemmas", "--embedding", str(path)]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert reports["bad2_face_degrees"] == report.to_json()
+
     def test_triangle_with_long_cycle_bad2_faces(self):
         report = check_bad2_face_degrees(triangle_with_cycle(9))
         assert report.status == "pass"
@@ -327,6 +345,24 @@ class TestValidators:
             check_vertex_profiles,
         ):
             assert validator(emb).status in ("pass", "degenerate")
+
+
+class TestDegeneracyIsK3:
+    @settings(max_examples=300, deadline=None)
+    @given(emb=c4c5_free_rotations())
+    @example(emb=k3_embedding())
+    def test_matches_boundary_edge_multisets(self, emb):
+        analysis = analyze(emb)
+        assume(analysis.validator_reason is None)
+        tags = analysis.tags
+        bad2 = {i.element: i.detail.get("why") for i in check_bad2_face_degrees(analysis).items}
+        profiles = check_vertex_profiles(analysis).items
+        verdicts = {i.element: (bad2.get(i.element), i.status == "degenerate") for i in profiles}
+        assert verdicts == boundary_degeneracy(tags)
+        if tags.face_degree == (3, 3):
+            assert set(verdicts.values()) == {("faces share identical boundaries", True)}
+        else:
+            assert set(verdicts.values()) == {(None, False)}
 
 
 class TestAudit:
