@@ -112,21 +112,12 @@ class SolveOutcome:
     def exceeded_budget(self) -> bool:
         return self.status == BUDGET
 
-    @classmethod
-    def sat(cls, coloring: dict[Vertex, int], nodes: int) -> "SolveOutcome":
-        return cls(SAT, coloring, nodes)
-
-    @classmethod
-    def unsat(cls, nodes: int) -> "SolveOutcome":
-        return cls(UNSAT, None, nodes)
-
 
 def is_valid_coloring(
     g: Graph, spec: ColoringSpec | Iterable[int], coloring: Mapping[Vertex, int]
 ) -> bool:
     """True iff the total assignment keeps every vertex within its defect."""
     spec = as_spec(spec)
-    defects = spec.defects
     k = spec.k
     for v in g.vertices:
         if v not in coloring:
@@ -136,9 +127,22 @@ def is_valid_coloring(
             raise ValueError(f"assignment colors unknown vertex {v!r}")
         if not (1 <= c <= k):
             raise ValueError(f"color {c} out of range 1..{k}")
-    for v in g.vertices:
-        c = coloring[v]
-        same = sum(1 for u in g.ordered_neighbors(v) if coloring[u] == c)
+    colors = tuple(coloring[v] for v in g.vertices)
+    return _within_defects(g.adjacency, spec.defects, colors)
+
+
+def _within_defects(
+    adj: tuple[tuple[int, ...], ...], defects: tuple[int, ...], colors: tuple[int, ...]
+) -> bool:
+    """True iff every vertex index i has at most defects[colors[i] - 1]
+    neighbors of its own color. The brute-force checks share this rule;
+    `solve` keeps its own, so solver/oracle agreement stays independent."""
+    for i, nbrs in enumerate(adj):
+        c = colors[i]
+        same = 0
+        for j in nbrs:
+            if colors[j] == c:
+                same += 1
         if same > defects[c - 1]:
             return False
     return True
@@ -748,19 +752,9 @@ def brute_force_oracle(
     examined = 0
     for assignment in product(*choices):
         examined += 1
-        ok = True
-        for i in range(n):
-            c = assignment[i]
-            same = 0
-            for j in adj[i]:
-                if assignment[j] == c:
-                    same += 1
-            if same > defects[c - 1]:
-                ok = False
-                break
-        if ok:
-            return SolveOutcome.sat(dict(zip(verts, assignment)), examined)
-    return SolveOutcome.unsat(examined)
+        if _within_defects(adj, defects, assignment):
+            return SolveOutcome(SAT, dict(zip(verts, assignment)), examined)
+    return SolveOutcome(UNSAT, None, examined)
 
 
 def always_extends(g: Graph, v: Vertex, spec: ColoringSpec | Iterable[int]) -> bool:
@@ -770,21 +764,20 @@ def always_extends(g: Graph, v: Vertex, spec: ColoringSpec | Iterable[int]) -> b
     not push any already-colored neighbor over its own bound.
     """
     spec = as_spec(spec)
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
     rest = delete_vertex(g, v)
     k = spec.k
     if k ** len(rest) > BRUTE_FORCE_CAP:
         raise ValueError("instance exceeds brute-force cap")
 
-    rest_verts = rest.vertices
-    for assignment in product(range(1, k + 1), repeat=len(rest_verts)):
-        cmap = dict(zip(rest_verts, assignment))
-        if not is_valid_coloring(rest, spec, cmap):
+    # rest keeps g's vertex order without v, so v's color splices in at p.
+    p = g.index_of(v)
+    adj, rest_adj, defects = g.adjacency, rest.adjacency, spec.defects
+    colors = range(1, k + 1)
+    for assignment in product(colors, repeat=len(rest)):
+        if not _within_defects(rest_adj, defects, assignment):
             continue
-        if not any(
-            is_valid_coloring(g, spec, {**cmap, v: c}) for c in range(1, k + 1)
-        ):
+        head, tail = assignment[:p], assignment[p:]
+        if not any(_within_defects(adj, defects, head + (c,) + tail) for c in colors):
             return False
     return True
 
@@ -797,8 +790,6 @@ def deletion_preserves(
     A False answer exhibits v as witnessing vertex-criticality. Raises
     BudgetExceededError when either solve cannot reach a verdict.
     """
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
     reduced = solve(delete_vertex(g, v), spec, budget=budget)
     if reduced.exceeded_budget:
         raise BudgetExceededError("budget exhausted on the deleted-vertex subproblem")

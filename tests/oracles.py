@@ -3,15 +3,17 @@
 Everything here is deliberately naive: cycle enumeration over raw vertex
 permutations, a tiny DPLL for checking exported CNF documents, the solver's
 slack knapsack as it was before it folded runs of identical pieces at once,
-and the validators' degeneracy checks as they were before they judged the
-classification alone. None of it shares code with the package under test.
+the validators' degeneracy checks as they were before they judged the
+classification alone, and the defect rule counted vertex by vertex, with the
+extension check as it was before the brute-force checks shared one predicate.
+None of it shares code with the package under test.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 
 def canonical_cycle(g, seq):
@@ -196,3 +198,26 @@ def boundary_degeneracy(tags):
         degenerate = len({boundaries[i] for i in faces}) < len(faces)
         verdicts[v] = (why, degenerate)
     return verdicts
+
+
+def valid_by_neighbor_count(g, defects, coloring):
+    """True iff every colored vertex has at most its color's defect of
+    neighbors with the same color; uncolored neighbors count as none."""
+    return all(
+        sum(coloring.get(u) == c for u in g.neighbors(v)) <= defects[c - 1]
+        for v, c in coloring.items()
+    )
+
+
+def always_extends_by_enumeration(g, v, defects):
+    """Every coloring of g - v, one dict each, valid under the neighbor
+    count, has a color for v that keeps the whole map valid."""
+    colors = range(1, len(defects) + 1)
+    rest = [w for w in g.vertices if w != v]
+    for assignment in product(colors, repeat=len(rest)):
+        cmap = dict(zip(rest, assignment))
+        if not valid_by_neighbor_count(g, defects, cmap):
+            continue
+        if not any(valid_by_neighbor_count(g, defects, {**cmap, v: c}) for c in colors):
+            return False
+    return True

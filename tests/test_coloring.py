@@ -25,7 +25,7 @@ from defcol import coloring
 from defcol.cli import main
 
 from corpus import fused_hexagons
-from oracles import knapsack_one_at_a_time
+from oracles import always_extends_by_enumeration, knapsack_one_at_a_time, valid_by_neighbor_count
 from strategies import SPECS, blocks_and_separators, graphs, knapsack_inputs
 
 
@@ -95,6 +95,14 @@ class TestIsValidColoring:
     def test_out_of_range_color_rejected(self):
         with pytest.raises(ValueError):
             is_valid_coloring(k_n(3), (0, 1), {0: 1, 1: 2, 2: 3})
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=8), st.data())
+    def test_agrees_with_neighbor_count(self, g, data):
+        k = data.draw(st.integers(1, 3))
+        spec = tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+        coloring = {v: data.draw(st.integers(1, k)) for v in g.vertices}
+        assert is_valid_coloring(g, spec, coloring) == valid_by_neighbor_count(g, spec, coloring)
 
 
 class TestSolve:
@@ -208,6 +216,14 @@ class TestAlwaysExtends:
         with pytest.raises(ValueError):
             always_extends(k_n(3), 9, (0, 0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs(max_n=7), st.data())
+    def test_agrees_with_enumeration(self, g, data):
+        k = data.draw(st.integers(1, 3))
+        spec = tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+        for v in g.vertices:
+            assert always_extends(g, v, spec) == always_extends_by_enumeration(g, v, spec), v
+
 
 class TestDeletionPreserves:
     def test_sat_graph_trivially_true(self):
@@ -222,6 +238,19 @@ class TestDeletionPreserves:
     def test_budget_exhaustion_raises(self):
         with pytest.raises(BudgetExceededError):
             deletion_preserves(k_n(5), 0, (0, 1), budget=1)
+
+    def test_uncolorable_deletion_is_true(self):
+        # K4 = K5 - v has no (0,1)-coloring, so the implication holds vacuously
+        assert deletion_preserves(k_n(5), 0, (0, 1), budget=10**6)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_budget_exhaustion_on_the_full_graph(self, budget):
+        # K3 = K4 - v takes 1 decision and K4 takes 4
+        with pytest.raises(BudgetExceededError, match="^budget exhausted on the full graph$"):
+            deletion_preserves(k_n(4), 0, (0, 1), budget=budget)
+
+    def test_full_graph_budget_just_enough(self):
+        assert not deletion_preserves(k_n(4), 0, (0, 1), budget=4)
 
 
 WITNESSES = json.loads((Path(__file__).parent / "solver_witnesses.json").read_text())
