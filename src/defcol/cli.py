@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -297,6 +298,7 @@ def _cmd_audit(args) -> int:
     return EXIT_SAT
 
 
+@cache  # built on the first call to main, reused by every later call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="defcol")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -16,6 +16,7 @@ from .graphs import (
     Vertex,
     _content_lines,
     _edgelist_lines,
+    _int_token,
     is_connected,
     parse_graph_lines,
 )
@@ -195,10 +196,10 @@ def load_embedding(text: str) -> PlaneEmbedding:
             raise ValueError(f"unexpected line {line!r} in embedding document")
         if len(parts) < 2 or not parts[1].endswith(":"):
             raise ValueError(f"malformed rotation line {line!r}")
-        v = int(parts[1][:-1])
+        v = _int_token(parts[1][:-1])
         if v in rotation:
             raise ValueError(f"second rotation line for vertex {v}")
-        rotation[v] = [int(tok) for tok in parts[2:]]
+        rotation[v] = [_int_token(tok) for tok in parts[2:]]
     missing = [v for v in g.vertices if v not in rotation]
     if missing:
         raise ValueError(f"no rotation record for vertex {missing[0]}")

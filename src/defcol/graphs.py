@@ -347,6 +347,18 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _int_token(token: str) -> int:
+    """Parse one integer field of the text formats: ASCII `-?[0-9]+` only.
+
+    Bare `int()` also accepts `1_0`, `+10` and non-ASCII digits such as `١`,
+    none of which the formats define. A rejected token gets the message that
+    `int()` gives for the tokens it rejects too.
+    """
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
 def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     """Parse the edge-list section; returns the graph and leftover lines."""
     if not lines:
@@ -354,7 +366,7 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_token(head[0]), _int_token(head[1])
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if n < 0:
@@ -366,7 +378,7 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"malformed edge line {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((_int_token(parts[0]), _int_token(parts[1])))
     if len(pairs) != m:
         raise ValueError(f"expected {m} edge lines, found {len(pairs)}")
     rest = lines[1 + m :]
@@ -377,7 +389,7 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         if parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
-            v = int(parts[1])
+            v = _int_token(parts[1])
             if v in labels:
                 raise ValueError(f"second label line for vertex {v}")
             labels[v] = parts[2]

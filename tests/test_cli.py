@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +20,8 @@ from defcol import (
     load_graph,
     make_graph,
 )
-from defcol.cli import _dumps, main
+import defcol
+from defcol.cli import _build_parser, _dumps, main
 
 from corpus import corpus, k3_embedding
 
@@ -43,6 +47,12 @@ def c5_file(tmp_path):
     path = tmp_path / "c5.graph"
     path.write_text(dump_graph(g))
     return str(path)
+
+
+def huv_file(tmp_path, capsys):
+    code, _, _ = run(capsys, "gadget", "huv", "--out", str(tmp_path / "huv"))
+    assert code == 0
+    return str(tmp_path / "huv.graph")
 
 
 class TestSolveCommand:
@@ -127,14 +137,9 @@ class TestSolveCommand:
 
 
 class TestForcedColors:
-    def huv(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "gadget", "huv", "--out", str(tmp_path / "huv"))
-        assert code == 0
-        return str(tmp_path / "huv.graph")
-
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_two_colors_forced_on_one_vertex_exit_two(self, tmp_path, capsys, command):
-        path = self.huv(tmp_path, capsys)
+        path = huv_file(tmp_path, capsys)
         code, out, err = run(capsys, command, "--graph", path, "--spec", "1,1",
                              "--force", "u=1", "--force", "u=2")
         assert code == 2
@@ -142,14 +147,14 @@ class TestForcedColors:
         assert err == "defcol: error: vertex 0 is forced to both 1 and 2\n"
 
     def test_label_and_index_naming_one_vertex_conflict(self, tmp_path, capsys):
-        path = self.huv(tmp_path, capsys)
+        path = huv_file(tmp_path, capsys)
         code, _, err = run(capsys, "solve", "--graph", path, "--spec", "1,1",
                            "--force", "u=1", "--force", "0=2")
         assert code == 2
         assert "forced to both" in err
 
     def test_identical_repeat_is_allowed(self, tmp_path, capsys):
-        path = self.huv(tmp_path, capsys)
+        path = huv_file(tmp_path, capsys)
         code, out, _ = run(capsys, "solve", "--graph", path, "--spec", "1,1",
                            "--force", "u=2", "--force", "u=2")
         assert code == 0
@@ -473,3 +478,50 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gadget", "huv", "--out", str(tmp_path / "x"), "--bogus"])
         assert exc.value.code == 2
+
+
+def fresh_run(*argv):
+    """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
+    src = str(Path(defcol.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "defcol.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; no call leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_force_and_forbid_do_not_carry_over(self, tmp_path, capsys):
+        plain = ["solve", "--graph", huv_file(tmp_path, capsys), "--spec", "1,1"]
+        forced = [*plain, "--force", "u=2", "--force", "v=2"]
+        for interior in "abcd":
+            forced += ["--forbid", f"{interior}=2"]
+        first = run(capsys, *forced)
+        second = run(capsys, *plain)
+        assert (first[0], second[0]) == (10, 0)
+        assert first == fresh_run(*forced)
+        assert second == fresh_run(*plain)
+
+    def test_usage_error_leaves_no_trace(self, tmp_path, capsys):
+        valid = ["solve", "--graph", huv_file(tmp_path, capsys), "--spec", "1,1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*valid, "--force", "u=2", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *valid)[1] == fresh_run(*valid)[1]
+
+    def test_console_script_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        path = huv_file(tmp_path, capsys)  # the parser is built by now
+        argv = ["check", "c4c5", "--graph", path]
+        monkeypatch.setattr(sys, "argv", ["/usr/local/bin/defcol", *argv])
+        code = main()
+        assert (code, capsys.readouterr().out) == fresh_run(*argv)[:2]
+        monkeypatch.setattr(sys, "argv", ["another-name", "solve", "--graph", path])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: defcol solve")

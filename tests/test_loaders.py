@@ -122,3 +122,50 @@ def test_loading_builds_one_graph(doc, monkeypatch):
     loader = load_embedding if doc.startswith("# defcol-embedding") else load_graph
     loader(doc)
     assert len(built) == 1
+
+
+# Every integer field of the formats, in a document that loads when the field
+# reads "10": the header counts of a 10-cycle, then an edge end, a label vertex,
+# a rotation vertex and a rotation neighbour on an 11-vertex path.
+C10_EDGES = "".join(f"{i} {(i + 1) % 10}\n" for i in range(10))
+P11 = "11 10\n" + "".join(f"{i} {i + 1}\n" for i in range(10))
+P11_ROT = P11 + "rot 0: 1\n" + "".join(f"rot {i}: {i - 1} {i + 1}\n" for i in range(1, 10)) + "rot 10: 9\n"
+INTEGER_FIELDS = {
+    "header n": (load_graph, "{t} 10\n" + C10_EDGES),
+    "header m": (load_graph, "10 {t}\n" + C10_EDGES),
+    "edge": (load_graph, P11.replace("9 10\n", "9 {t}\n")),
+    "label": (load_graph, P11 + "label {t} end\n"),
+    "rot vertex": (load_embedding, P11_ROT.replace("rot 10: 9", "rot {t}: 9")),
+    "rot neighbour": (load_embedding, P11_ROT.replace("rot 9: 8 10", "rot 9: 8 {t}")),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_each_integer_field_reads_ten(field):
+    loader, template = INTEGER_FIELDS[field]
+    loader(template.replace("{t}", "10"))
+
+
+# int() reads each of these as 10; the formats define only ASCII -?[0-9]+
+@pytest.mark.parametrize("token", ["1_0", "+10", "١٠"],
+                         ids=["underscore", "plus sign", "arabic-indic digits"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integers_outside_the_format_are_rejected(field, token):
+    loader, template = INTEGER_FIELDS[field]
+    with pytest.raises(ValueError) as exc:
+        loader(template.replace("{t}", token))
+    assert str(exc.value) == f"invalid literal for int() with base 10: {token!r}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("-1 0\n", "vertex count must be non-negative"),
+    ("3 -1\n", f"edge count -1 outside 0..{MAX_EDGES}"),
+    ("007 0\nlabel -0 a\nlabel 9 b\n", "label attached to unknown vertex 9"),
+    ("x 0\n", "invalid literal for int() with base 10: 'x'"),
+    ("3 0\nrot :\n", "invalid literal for int() with base 10: ''"),
+])
+def test_integer_field_messages_are_unchanged(text, message):
+    loader = load_embedding if "rot" in text else load_graph
+    with pytest.raises(ValueError) as exc:
+        loader(text)
+    assert str(exc.value) == message
