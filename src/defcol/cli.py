@@ -9,6 +9,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -21,6 +22,7 @@ from .embedding import dump_embedding, load_embedding
 from .gadgets import GadgetResult, hub_gadget, non_1k, np_reduce, triangle_link
 from .graphs import (
     Graph,
+    _int_token,
     cycles_of_length,
     dump_graph,
     girth,
@@ -65,7 +67,7 @@ def _load_graph_arg(args) -> Graph:
 
 def _parse_spec(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(_int_token(tok) for tok in text.split(","))
     except ValueError as exc:
         raise CliError(f"malformed spec {text!r}; expected e.g. 1,1") from exc
 
@@ -76,7 +78,7 @@ def _resolve_vertex(g: Graph, token: str):
     except KeyError:
         pass
     try:
-        index = int(token)
+        index = _int_token(token)
     except ValueError:
         raise CliError(f"unknown vertex {token!r}") from None
     if not (0 <= index < g.vertex_count):
@@ -91,11 +93,19 @@ def _parse_assignments(g: Graph, pairs: list[str]) -> list[tuple[object, int]]:
             raise CliError(f"expected v=c, got {item!r}")
         vtok, ctok = item.split("=", 1)
         try:
-            c = int(ctok)
+            c = _int_token(ctok)
         except ValueError:
             raise CliError(f"malformed color in {item!r}") from None
         out.append((_resolve_vertex(g, vtok), c))
     return out
+
+
+def _int_arg(token: str) -> int:
+    """argparse's converter for integer options: ASCII `-?[0-9]+` only."""
+    return _int_token(token)
+
+
+_int_arg.__name__ = "int"  # argparse names it in "invalid int value: '1_0'"
 
 
 def _constraints(g: Graph, args) -> ConstraintSet:
@@ -177,7 +187,12 @@ def _dumps(doc) -> str:
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    write(doc, 0)
+    try:
+        write(doc, 0)
+    finally:
+        # write refers to itself through its closure cell; emptying the cell
+        # lets reference counting free the closure and the chunk list
+        del write
     return "".join(chunks)
 
 
@@ -310,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="append", metavar="V=C")
         p.add_argument("--forbid", action="append", metavar="V=C")
         if with_budget:
-            p.add_argument("--budget", type=int)
+            p.add_argument("--budget", type=_int_arg)
             p.add_argument("--emit-cnf", metavar="OUT")
 
     p_solve = sub.add_parser("solve", help="exact search")
@@ -323,13 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gadget = sub.add_parser("gadget", help="generate a gadget graph")
     p_gadget.add_argument("kind", choices=["huv", "s", "non1k"])
-    p_gadget.add_argument("--k", type=int, default=1)
+    p_gadget.add_argument("--k", type=_int_arg, default=1)
     p_gadget.add_argument("--out", required=True, help="output file prefix")
     p_gadget.set_defaults(func=_cmd_gadget)
 
     p_reduce = sub.add_parser("reduce", help="attach defect-shifting triangles")
     p_reduce.add_argument("--graph", required=True)
-    p_reduce.add_argument("--k", type=int, required=True)
+    p_reduce.add_argument("--k", type=_int_arg, required=True)
     p_reduce.add_argument("--out", required=True)
     p_reduce.set_defaults(func=_cmd_reduce)
 
@@ -349,13 +364,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, and the
+    caller's collector state is restored afterwards. No command leaves
+    reference cycles behind, so reference counting frees everything it
+    allocates, and a collection would only rescan the report being built.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"defcol: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ to exactly -12 on any Euler-certified embedding. A rule system is an
 ordered list of transfers; all rules are evaluated against the initial
 classification simultaneously, so transfers add up and are never chained.
 All arithmetic is exact (fractions.Fraction); floats never enter a ledger.
+Sums are taken on integers where they can be: a ledger total is one
+integer sum of numerators over the lcm of the denominators, and each rule
+moves its amount once per element, times the element's net count of
+transfers under that rule.
 
 Classification vocabulary:
   * a 2-vertex is bad when it lies on a 3-face, good otherwise;
@@ -18,6 +22,7 @@ Classification vocabulary:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -83,7 +88,9 @@ class ChargeLedger:
     charges: dict[ElementKey, Fraction]
 
     def total(self) -> Fraction:
-        return sum(self.charges.values(), Fraction(0))
+        values = self.charges.values()
+        den = math.lcm(*{q.denominator for q in values})
+        return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
 
     def charge_of(self, key: ElementKey) -> Fraction:
         return self.charges[key]
@@ -293,11 +300,13 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
 def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
     """Charge 2d(v) - 6 per vertex and d(f) - 6 per face; total is -12."""
     tags = analyze(source).tags
-    charges: dict[ElementKey, Fraction] = {}
-    for v, d in tags.degree.items():
-        charges[("v", v)] = Fraction(2 * d - 6)
-    for i, d in enumerate(tags.face_degree):
-        charges[("f", i)] = Fraction(d - 6)
+    vertex = [2 * d - 6 for d in tags.degree.values()]
+    face = [d - 6 for d in tags.face_degree]
+    shared = {c: Fraction(c) for c in {*vertex, *face}}  # one per distinct charge
+    charges: dict[ElementKey, Fraction] = {
+        ("v", v): shared[c] for v, c in zip(tags.degree, vertex)
+    }
+    charges.update((("f", i), shared[c]) for i, c in enumerate(face))
     return ChargeLedger(tuple(charges), charges)  # vertices, then faces
 
 
@@ -327,10 +336,14 @@ def _discharge(
     charges = dict(initial.charges)
     log: list[Transfer] = []
     for rule in ruleset.rules:
+        net: dict[ElementKey, int] = {}  # transfers received minus sent
         for t in _rule_transfers(analysis.tags, rule):
-            charges[t.source] -= t.amount
-            charges[t.target] += t.amount
+            net[t.source] = net.get(t.source, 0) - 1
+            net[t.target] = net.get(t.target, 0) + 1
             log.append(t)
+        for key, count in net.items():
+            if count:
+                charges[key] += count * rule.amount
     return initial, ChargeLedger(initial.elements, charges), log
 
 
@@ -346,7 +359,7 @@ def negative_elements(ledger: ChargeLedger) -> list[tuple[ElementKey, Fraction]]
     return [
         (key, ledger.charges[key])
         for key in ledger.elements
-        if ledger.charges[key] < 0
+        if ledger.charges[key].numerator < 0
     ]
 
 

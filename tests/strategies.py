@@ -1,10 +1,21 @@
-"""Shared hypothesis strategies for random small graphs."""
+"""Shared hypothesis strategies for random small graphs, embeddings and
+rulesets."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
-from defcol import ConstraintSet, PlaneEmbedding, is_c4c5_free, make_graph
+from defcol import ConstraintSet, Graph, PlaneEmbedding, is_c4c5_free, make_graph
+from defcol.discharging import (
+    BAD2_INCIDENT,
+    GOOD2_ADJACENT,
+    THREE_FACE_INCIDENT,
+    THREE_FACE_PENDANT,
+    DischargeRuleSet,
+    Rule,
+)
 
 
 @st.composite
@@ -29,21 +40,47 @@ def graphs_with_edge(draw, max_n=7):
 
 
 @st.composite
-def c4c5_free_rotations(draw, max_n=7):
-    """A connected graph on 1..max_n vertices free of 4- and 5-cycles, with
-    a random cyclic order at every vertex; the rotation need not be planar.
+def connected_rotations(draw, max_n=7, c4c5_free=False):
+    """A connected graph on 1..max_n vertices with a random cyclic order at
+    every vertex; the rotation need not be planar.
 
-    A random spanning tree keeps the graph connected; each further drawn
-    edge is kept when it closes no 4- or 5-cycle.
+    A random spanning tree keeps the graph connected, so bridges and cut
+    vertices are common; each further drawn edge is kept, or with
+    `c4c5_free` kept only when it closes no 4- or 5-cycle. In half the
+    draws the vertex ids are opaque tuples listed in a shuffled order.
     """
     n = draw(st.integers(1, max_n))
     edges = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
     for pair in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
-        if is_c4c5_free(make_graph(n, edges | {pair})):
+        if not c4c5_free or is_c4c5_free(make_graph(n, edges | {pair})):
             edges.add(pair)
-    g = make_graph(n, sorted(edges))
+    if draw(st.booleans()):
+        g = make_graph(n, sorted(edges))
+    else:
+        ids = draw(st.permutations([("v", i) for i in range(n)]))
+        g = Graph(ids, [(ids[a], ids[b]) for a, b in sorted(edges)])
     return PlaneEmbedding(g, {v: draw(st.permutations(g.ordered_neighbors(v))) for v in g.vertices})
+
+
+def c4c5_free_rotations(max_n=7):
+    """`connected_rotations` restricted to graphs free of 4- and 5-cycles."""
+    return connected_rotations(max_n, c4c5_free=True)
+
+
+@st.composite
+def rulesets(draw):
+    """1-8 rules over all four relations, each moving an amount with a
+    denominator of 1-12 from sources in a degree window within 0-9, open
+    above in about half the draws, so windows overlap often."""
+    relations = (GOOD2_ADJACENT, THREE_FACE_INCIDENT, THREE_FACE_PENDANT, BAD2_INCIDENT)
+    rules = []
+    for i in range(draw(st.integers(1, 8))):
+        amount = Fraction(draw(st.integers(-12, 36)), draw(st.integers(1, 12)))
+        lo = draw(st.integers(0, 9))
+        hi = draw(st.none() | st.integers(lo, 9))
+        rules.append(Rule(f"R{i + 1}", draw(st.sampled_from(relations)), amount, lo, hi))
+    return DischargeRuleSet("drawn", tuple(rules))
 
 
 @st.composite

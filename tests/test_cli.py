@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -19,8 +20,11 @@ from defcol import (
     load_embedding,
     load_graph,
     make_graph,
+    non_1k,
+    triangle_link,
 )
 import defcol
+import defcol.cli
 from defcol.cli import _build_parser, _dumps, main
 
 from corpus import corpus, k3_embedding
@@ -525,3 +529,138 @@ class TestRepeatedCalls:
             main()
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: defcol solve")
+
+
+# An underscore, a sign and an Arabic-Indic digit: bare int() took all three.
+LOOSE_INTEGERS = ["1_0", "+1", "\u0661"]
+
+
+class TestStrictIntegers:
+    """Every integer the CLI reads is ASCII `-?[0-9]+`, as in the loaders."""
+
+    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=["underscore", "sign", "arabic"])
+    @pytest.mark.parametrize("where", ["spec", "color", "index"])
+    def test_cli_errors_exit_two(self, tmp_path, capsys, where, token):
+        argv = ["solve", "--graph", c5_file(tmp_path), "--spec"]
+        if where == "spec":
+            argv += [f"{token},1"]
+            message = f"malformed spec {token + ',1'!r}; expected e.g. 1,1"
+        elif where == "color":
+            argv += ["1,1", "--force", f"0={token}"]
+            message = f"malformed color in {'0=' + token!r}"
+        else:
+            argv += ["1,1", "--force", f"{token}=1"]
+            message = f"unknown vertex {token!r}"
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"defcol: error: {message}\n")
+
+    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=["underscore", "sign", "arabic"])
+    @pytest.mark.parametrize("where", ["budget", "gadget_k", "reduce_k"])
+    def test_usage_errors_exit_two(self, tmp_path, capsys, where, token):
+        graph, out = c5_file(tmp_path), str(tmp_path / "x")
+        argv, flag = {
+            "budget": (["solve", "--graph", graph, "--spec", "1,1", "--budget", token], "--budget"),
+            "gadget_k": (["gadget", "s", "--k", token, "--out", out], "--k"),
+            "reduce_k": (["reduce", "--graph", graph, "--k", token, "--out", out], "--k"),
+        }[where]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {token!r}\n")
+        assert not (tmp_path / "x.graph").exists()
+
+    def test_plain_integers_still_parse(self, tmp_path, capsys):
+        assert run(capsys, "gadget", "s", "--k", "01", "--out", str(tmp_path / "s"))[0] == 0
+        code, out, _ = run(capsys, "solve", "--graph", c5_file(tmp_path), "--spec", "00,01",
+                           "--force", "00=02", "--budget", "0100")
+        assert code == 0
+        assert json.loads(out)["coloring"]["0"] == 2
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic collector back as it was after the test."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The huv widget's graph and non_1k(2)'s graph and embedding."""
+    root = tmp_path_factory.mktemp("pause")
+    huv = root / "huv.graph"
+    huv.write_text(dump_graph(triangle_link().graph))
+    gadget = non_1k(2)
+    (root / "n2.graph").write_text(dump_graph(gadget.graph))
+    (root / "n2.emb").write_text(dump_embedding(gadget.embedding))
+    return root
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic collector paused and hands
+    the caller's collector state back; no command leaves cyclic garbage."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["solve", "--graph", "@c5", "--spec", "0,1"], 0),
+            (["solve", "--graph", "@k4", "--spec", "0,1"], 10),
+            (["solve", "--graph", "@k4", "--spec", "0,1", "--budget", "1"], 20),
+            (["solve", "--graph", "@k4", "--spec", "x"], 2),
+            (["solve", "--graph", "@k4"], SystemExit),
+            (["check", "girth", "--graph", "@c5"], RuntimeError),
+        ],
+        ids=["sat", "unsat", "budget", "cli_error", "usage_error", "unexpected"],
+    )
+    def test_state_is_restored(self, tmp_path, capsys, monkeypatch, collector,
+                               enabled, argv, code):
+        files = {"@c5": c5_file(tmp_path), "@k4": k4_file(tmp_path)}
+        argv = [files.get(a, a) for a in argv]
+
+        def broken(g):
+            assert not gc.isenabled()
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(defcol.cli, "girth", broken)
+        (gc.enable if enabled else gc.disable)()
+        if isinstance(code, int):
+            assert main(argv) == code
+        else:
+            with pytest.raises(code):
+                main(argv)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["solve", "--graph", "@huv.graph", "--spec", "1,1"], 0),
+            (["solve", "--graph", "@n2.graph", "--spec", "1,2", "--budget", "100000"], 10),
+            (["solve", "--graph", "@n2.graph", "--spec", "1,2", "--budget", "3"], 20),
+            (["solve", "--graph", "@n2.graph", "--spec", "1,2", "--emit-cnf", "@n2.cnf"], 0),
+            (["oracle", "--graph", "@huv.graph", "--spec", "1,1", "--force", "u=2"], 0),
+            (["gadget", "non1k", "--k", "2", "--out", "@g"], 0),
+            (["reduce", "--graph", "@n2.graph", "--k", "2", "--out", "@r"], 0),
+            (["check", "girth", "--graph", "@n2.graph"], 0),
+            (["check", "c4c5", "--graph", "@n2.graph"], 0),
+            (["check", "lemmas", "--embedding", "@n2.emb"], 0),
+            (["audit", "--embedding", "@n2.emb", "--ruleset", "35"], 0),
+            (["audit", "--embedding", "@n2.emb", "--ruleset", "29", "--out", "@a.json"], 0),
+        ],
+        ids=["solve_sat", "solve_unsat", "solve_budget", "solve_emit_cnf", "oracle",
+             "gadget", "reduce", "check_girth", "check_c4c5", "check_lemmas",
+             "audit_stdout", "audit_out"],
+    )
+    def test_leaves_no_cyclic_garbage(self, inputs, capsys, collector, argv, code):
+        _build_parser()  # the parser lives for the whole process
+        argv = [str(inputs / a[1:]) if a[0] == "@" else a for a in argv]
+        gc.disable()
+        gc.collect()
+        assert main(argv) == code
+        assert gc.collect() == 0

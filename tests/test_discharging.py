@@ -46,8 +46,8 @@ from corpus import (
     vertex7_one_triangle,
     vertex11_one_triangle,
 )
-from oracles import boundary_degeneracy
-from strategies import c4c5_free_rotations
+from oracles import boundary_degeneracy, replay_transfer_log
+from strategies import c4c5_free_rotations, rulesets
 
 CORPUS = corpus()
 CORPUS_IDS = [n for n, _ in CORPUS]
@@ -240,6 +240,35 @@ class TestApplyRuleset:
     def test_charges_stay_rational(self):
         final, _ = apply_ruleset(vertex7_one_triangle(), RULES_35)
         assert all(isinstance(c, Fraction) for c in final.charges.values())
+
+
+class TestIntegerSums:
+    """The ledger's integer sums agree with plain Fraction arithmetic under
+    drawn rulesets, on the corpus and on non_1k(1..3)."""
+
+    ANALYSES = [analyze(emb) for _, emb in CORPUS] + [
+        analyze(non_1k(k).embedding) for k in (1, 2, 3)
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(ruleset=rulesets())
+    def test_ledgers_match_fraction_replay(self, ruleset):
+        for analysis in self.ANALYSES:
+            initial = initial_charges(analysis)
+            final, log = apply_ruleset(analysis, ruleset)
+            assert final.charges == replay_transfer_log(analysis.tags, log)
+            for ledger in (initial, final):
+                values = list(ledger.charges.values())
+                assert all(type(q) is Fraction for q in values)
+                assert ledger.total() == sum(values, Fraction(0))
+                assert negative_elements(ledger) == [
+                    (key, ledger.charges[key])
+                    for key in ledger.elements
+                    if ledger.charges[key] < 0
+                ]
+
+    def test_total_of_an_empty_ledger_is_zero(self):
+        assert ChargeLedger((), {}).total() == Fraction(0)
 
 
 class TestVerifyConservation:

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcol import (
+    Graph,
     PlaneEmbedding,
     check_planarity_certificate,
     dump_embedding,
@@ -11,8 +12,11 @@ from defcol import (
     make_graph,
     trace_faces,
 )
+from defcol.embedding import NOT_GENUS_ZERO, certify_faces
 
 from corpus import corpus, cycle_embedding, k3_embedding, pendant_triangle
+from oracles import trace_faces_on_dart_tuples
+from strategies import connected_rotations
 
 CORPUS = corpus()
 
@@ -66,6 +70,53 @@ class TestTraceFaces:
         emb = PlaneEmbedding(make_graph(2, [(0, 1)]), {0: [1], 1: [0]})
         assert [f.degree for f in trace_faces(emb)] == [2]
         assert check_planarity_certificate(emb)
+
+
+def bowtie_on_opaque_ids():
+    # two triangles sharing the cut vertex "c", listed out of sorted order
+    ids = ["c", "b", "a", "e", "d"]
+    g = Graph(ids, [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+    rotation = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "d", "e", "b"],
+                "d": ["e", "c"], "e": ["c", "d"]}
+    return PlaneEmbedding(g, rotation)
+
+
+FIXED = [
+    ("K1", PlaneEmbedding(make_graph(1, []), {0: []})),
+    ("K2", PlaneEmbedding(make_graph(2, [(0, 1)]), {0: [1], 1: [0]})),
+    ("path5", PlaneEmbedding(make_graph(5, [(i, i + 1) for i in range(4)]),
+                             {0: [1], 1: [0, 2], 2: [3, 1], 3: [2, 4], 4: [3]})),
+    ("bowtie", bowtie_on_opaque_ids()),
+    *CORPUS,
+]
+
+
+class TestDartIds:
+    """Tracing on integer dart ids finds the faces that tracing on a dict of
+    (vertex, neighbor) darts found: the same walks, in the same order, with
+    the same certificate defect."""
+
+    @staticmethod
+    def check(emb):
+        g = emb.graph
+        faces, defect = certify_faces(emb)
+        walks = trace_faces_on_dart_tuples(emb)
+        assert [f.walk for f in faces] == walks
+        euler = g.vertex_count - g.edge_count + len(walks)
+        assert defect == (None if euler == 2 else NOT_GENUS_ZERO)
+        for v in g.vertices:
+            around = emb.rotation_of(v)
+            for i, u in enumerate(around):
+                assert emb.successor(v, u) == around[(i + 1) % len(around)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=connected_rotations(max_n=9))
+    def test_random_rotations(self, emb):
+        self.check(emb)
+
+    @pytest.mark.parametrize("name,emb", FIXED, ids=[n for n, _ in FIXED])
+    def test_fixed_embeddings(self, name, emb):
+        self.check(emb)
 
 
 class TestRotationValidation:
