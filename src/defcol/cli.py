@@ -14,6 +14,7 @@ import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from time import monotonic
 
 from .cnf import export_cnf
 from .coloring import ConstraintSet, SolveOutcome, brute_force_oracle, solve
@@ -363,6 +364,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Paused commands advance none of the collector's generation counters, so a
+# caller that runs commands back to back rarely reaches a full collection,
+# and only a full collection empties CPython's free lists of tuples, lists,
+# dicts and floats. main runs one itself once its last is this long ago.
+FULL_COLLECTION_PERIOD_S = 1.0
+_next_full_collection = monotonic() + FULL_COLLECTION_PERIOD_S
+
+
+def _collect_if_due() -> None:
+    global _next_full_collection
+    now = monotonic()
+    if now >= _next_full_collection:
+        gc.collect()
+        _next_full_collection = now + FULL_COLLECTION_PERIOD_S
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
@@ -370,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     caller's collector state is restored afterwards. No command leaves
     reference cycles behind, so reference counting frees everything it
     allocates, and a collection would only rescan the report being built.
+    When the collector was on, a full collection follows the command if
+    main has not run one for FULL_COLLECTION_PERIOD_S.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -383,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
+            _collect_if_due()
 
 
 if __name__ == "__main__":

@@ -300,13 +300,11 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
 def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
     """Charge 2d(v) - 6 per vertex and d(f) - 6 per face; total is -12."""
     tags = analyze(source).tags
-    vertex = [2 * d - 6 for d in tags.degree.values()]
-    face = [d - 6 for d in tags.face_degree]
-    shared = {c: Fraction(c) for c in {*vertex, *face}}  # one per distinct charge
-    charges: dict[ElementKey, Fraction] = {
-        ("v", v): shared[c] for v, c in zip(tags.degree, vertex)
-    }
-    charges.update((("f", i), shared[c]) for i, c in enumerate(face))
+    charges: dict[ElementKey, Fraction] = {}
+    for v, d in tags.degree.items():
+        charges[("v", v)] = Fraction(2 * d - 6)
+    for i, d in enumerate(tags.face_degree):
+        charges[("f", i)] = Fraction(d - 6)
     return ChargeLedger(tuple(charges), charges)  # vertices, then faces
 
 

@@ -8,9 +8,7 @@ V - E + F = 2 on the traced faces.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 from .graphs import (
@@ -50,12 +48,13 @@ class Face:
 class PlaneEmbedding:
     """A graph together with a cyclic neighbor order at every vertex."""
 
-    __slots__ = ("graph", "_rotation")
+    __slots__ = ("graph", "_rotation", "_succ")
 
     def __init__(self, graph: Graph, rotation: Mapping[Vertex, Sequence[Vertex]]):
         if set(rotation) != set(graph.vertices):
             raise ValueError("rotation must list every vertex exactly once")
         rot: dict[Vertex, tuple[Vertex, ...]] = {}
+        succ: dict[Dart, Vertex] = {}
         at = graph.vertices.__getitem__
         for v, ns in zip(graph.vertices, graph.adjacency):
             around = tuple(rotation[v])
@@ -65,8 +64,11 @@ class PlaneEmbedding:
             if listed != set(map(at, ns)):
                 raise ValueError(f"rotation at {v!r} does not match its neighbors")
             rot[v] = around
+            for i, u in enumerate(around):
+                succ[(v, u)] = around[(i + 1) % len(around)]
         self.graph = graph
         self._rotation = rot
+        self._succ = succ
 
     def rotation_of(self, v: Vertex) -> tuple[Vertex, ...]:
         return self._rotation[v]
@@ -77,8 +79,7 @@ class PlaneEmbedding:
 
     def successor(self, v: Vertex, u: Vertex) -> Vertex:
         """Neighbor following u in the cyclic order around v."""
-        around = self._rotation[v]
-        return around[(around.index(u) + 1) % len(around)]
+        return self._succ[(v, u)]
 
     def __repr__(self) -> str:
         return f"PlaneEmbedding({self.graph!r})"
@@ -89,46 +90,30 @@ def trace_faces(emb: PlaneEmbedding) -> list[Face]:
 
     The traced walks partition the 2|E| directed edges; the face list is
     ordered by the lowest directed edge each face contains.
-
-    Darts are numbered in adjacency order: vertex i's darts follow those of
-    vertices 0..i-1, one per neighbor index in ascending order. The walk
-    runs on these ids through one list of face successors.
     """
     g = emb.graph
     if not is_connected(g):
         raise ValueError("face tracing requires a connected graph")
     if g.vertex_count == 1:
         return [Face(())]  # a lone vertex still bounds the one outer face
-    vertices, adjacency = g.vertices, g.adjacency
-    index = dict(zip(vertices, range(len(vertices))))
-    heads = list(chain.from_iterable(adjacency))
-    # rev[e] is the reverse of dart e. The darts into vertex j come in
-    # ascending order of their tails, which is the order of j's own darts,
-    # so a stable sort by head lines them up with j's darts.
-    rev = sorted(range(len(heads)), key=heads.__getitem__)
-    next_dart = [0] * len(heads)  # the dart after d on d's face
-    rotation = emb._rotation
-    base = 0
-    for v, ns in zip(vertices, adjacency):
-        out = [base + bisect_left(ns, index[u]) for u in rotation[v]]
-        # a walk entering v on the reverse of the dart to u leaves on the
-        # dart to u's successor around v
-        for e, f in zip(out, out[1:] + out[:1]):
-            next_dart[rev[e]] = f
-        base += len(ns)
-    tails = chain.from_iterable(map(repeat, vertices, map(len, adjacency)))
-    darts = list(zip(tails, map(vertices.__getitem__, heads)))
-    seen = bytearray(len(darts))
+    darts: list[Dart] = []
+    for u in g.vertices:
+        for w in g.ordered_neighbors(u):
+            darts.append((u, w))
+    unused = set(darts)
     faces = []
-    for start in range(len(darts)):
-        if seen[start]:
+    for start in darts:
+        if start not in unused:
             continue
         walk = []
-        d = start
-        while not seen[d]:
-            seen[d] = 1
-            walk.append(darts[d])
-            d = next_dart[d]
+        cur = start
+        while True:
+            walk.append(cur)
+            unused.discard(cur)
+            u, w = cur
+            cur = (w, emb.successor(w, u))
+            if cur == start:
+                break
         faces.append(Face(tuple(walk)))
     return faces
 

@@ -6,8 +6,7 @@ slack knapsack as it was before it folded runs of identical pieces at once,
 the validators' degeneracy checks as they were before they judged the
 classification alone, the defect rule counted vertex by vertex, with the
 extension check as it was before the brute-force checks shared one predicate,
-face tracing on a dict of (vertex, neighbor) darts as it was before darts
-were numbered, and a ledger replayed one Fraction operation per transfer.
+and a ledger replayed one Fraction operation per transfer.
 None of it shares code with the package under test.
 """
 
@@ -224,37 +223,6 @@ def always_extends_by_enumeration(g, v, defects):
         if not any(valid_by_neighbor_count(g, defects, {**cmap, v: c}) for c in colors):
             return False
     return True
-
-
-def trace_faces_on_dart_tuples(emb):
-    """The face walks of a connected embedding, each a tuple of (vertex,
-    neighbor) darts, found by following a dict of rotation successors from
-    every dart not yet walked, in vertex order and neighbor order."""
-    g = emb.graph
-    if g.vertex_count == 1:
-        return [()]
-    succ = {}
-    for v in g.vertices:
-        around = emb.rotation_of(v)
-        for i, u in enumerate(around):
-            succ[(v, u)] = around[(i + 1) % len(around)]
-    darts = [(u, w) for u in g.vertices for w in g.ordered_neighbors(u)]
-    unused = set(darts)
-    faces = []
-    for start in darts:
-        if start not in unused:
-            continue
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            unused.discard(cur)
-            u, w = cur
-            cur = (w, succ[(w, u)])
-            if cur == start:
-                break
-        faces.append(tuple(walk))
-    return faces
 
 
 def replay_transfer_log(tags, log):

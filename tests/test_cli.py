@@ -531,14 +531,16 @@ class TestRepeatedCalls:
         assert capsys.readouterr().err.startswith("usage: defcol solve")
 
 
-# An underscore, a sign and an Arabic-Indic digit: bare int() took all three.
-LOOSE_INTEGERS = ["1_0", "+1", "\u0661"]
+# An underscore, a sign, an Arabic-Indic digit and a leading space: bare
+# int() took all four.
+LOOSE_INTEGERS = ["1_0", "+1", "\u0661", " 1"]
+LOOSE_IDS = ["underscore", "sign", "arabic", "space"]
 
 
 class TestStrictIntegers:
     """Every integer the CLI reads is ASCII `-?[0-9]+`, as in the loaders."""
 
-    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=["underscore", "sign", "arabic"])
+    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=LOOSE_IDS)
     @pytest.mark.parametrize("where", ["spec", "color", "index"])
     def test_cli_errors_exit_two(self, tmp_path, capsys, where, token):
         argv = ["solve", "--graph", c5_file(tmp_path), "--spec"]
@@ -554,7 +556,7 @@ class TestStrictIntegers:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"defcol: error: {message}\n")
 
-    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=["underscore", "sign", "arabic"])
+    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=LOOSE_IDS)
     @pytest.mark.parametrize("where", ["budget", "gadget_k", "reduce_k"])
     def test_usage_errors_exit_two(self, tmp_path, capsys, where, token):
         graph, out = c5_file(tmp_path), str(tmp_path / "x")
@@ -664,3 +666,29 @@ class TestCollectorPause:
         gc.collect()
         assert main(argv) == code
         assert gc.collect() == 0
+
+    def test_full_collection_when_due(self, tmp_path, capsys, monkeypatch, collector):
+        starts = []
+
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        monkeypatch.setattr(defcol.cli, "_next_full_collection", 0.0)
+        gc.enable()
+        gc.callbacks.append(watch)
+        try:
+            assert main(["check", "girth", "--graph", c5_file(tmp_path)]) == 0
+        finally:
+            gc.callbacks.remove(watch)
+        assert 2 in starts
+        assert defcol.cli._next_full_collection > 0.0
+
+    @pytest.mark.parametrize("enabled,due", [(True, False), (False, True)],
+                             ids=["not_due", "collector_off"])
+    def test_no_full_collection(self, tmp_path, capsys, monkeypatch, collector, enabled, due):
+        deadline = 0.0 if due else time.monotonic() + 3600.0
+        monkeypatch.setattr(defcol.cli, "_next_full_collection", deadline)
+        (gc.enable if enabled else gc.disable)()
+        assert main(["check", "girth", "--graph", c5_file(tmp_path)]) == 0
+        assert defcol.cli._next_full_collection == deadline

@@ -15,7 +15,6 @@ from defcol import (
 from defcol.embedding import NOT_GENUS_ZERO, certify_faces
 
 from corpus import corpus, cycle_embedding, k3_embedding, pendant_triangle
-from oracles import trace_faces_on_dart_tuples
 from strategies import connected_rotations
 
 CORPUS = corpus()
@@ -91,18 +90,35 @@ FIXED = [
 ]
 
 
-class TestDartIds:
-    """Tracing on integer dart ids finds the faces that tracing on a dict of
-    (vertex, neighbor) darts found: the same walks, in the same order, with
-    the same certificate defect."""
+class TestFaceWalks:
+    """The traced faces, checked against the definition: every dart on
+    exactly one walk, each step (u, w) -> (w, successor of u around w), each
+    walk starting at its lowest dart (vertex order, then neighbor order),
+    faces ordered by those first darts, and the certificate defect set by
+    Euler's formula."""
 
     @staticmethod
     def check(emb):
         g = emb.graph
         faces, defect = certify_faces(emb)
-        walks = trace_faces_on_dart_tuples(emb)
-        assert [f.walk for f in faces] == walks
-        euler = g.vertex_count - g.edge_count + len(walks)
+        assert faces == trace_faces(emb)
+        if g.vertex_count == 1:
+            assert ([f.walk for f in faces], defect) == ([()], None)
+            return
+        rank = {}
+        for u in g.vertices:
+            for w in g.ordered_neighbors(u):
+                rank[(u, w)] = len(rank)
+        walked = [d for f in faces for d in f.walk]
+        assert sorted(map(rank.__getitem__, walked)) == list(range(len(rank)))
+        for f in faces:
+            walk = f.walk
+            for (u, w), after in zip(walk, walk[1:] + walk[:1]):
+                assert after == (w, emb.successor(w, u))
+            assert rank[walk[0]] == min(map(rank.__getitem__, walk))
+        firsts = [rank[f.walk[0]] for f in faces]
+        assert firsts == sorted(firsts)
+        euler = g.vertex_count - g.edge_count + len(faces)
         assert defect == (None if euler == 2 else NOT_GENUS_ZERO)
         for v in g.vertices:
             around = emb.rotation_of(v)
