@@ -126,6 +126,15 @@ def _coloring_json(g: Graph, coloring: dict | None):
     return {str(g.index_of(v)): c for v, c in coloring.items()}
 
 
+# _dumps's encoders for container items, keyed by exact type
+_SCALAR_WRITERS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _dumps(doc) -> str:
     """Return exactly `json.dumps(doc, indent=2, sort_keys=True)`.
 
@@ -133,28 +142,23 @@ def _dumps(doc) -> str:
     which cost about as much as building an audit. This writer makes one
     recursive pass that appends chunks to one list and joins them once.
     Strings are encoded by the C escaper, each distinct key is encoded once,
-    and each depth's separators are built once. Values are str, int, bool,
-    None, list, tuple or dict with str keys; anything else, floats and
-    Fractions included, raises TypeError.
+    and each depth's separators are built once. A container writes each item
+    whose exact type is str, int, bool or None itself, through
+    _SCALAR_WRITERS; only dicts, lists and tuples recurse, and anything else
+    takes the isinstance chain, so subclasses such as IntEnum members write
+    as json writes them. Values are str, int, bool, None, list, tuple or dict
+    with str keys; anything else, floats and Fractions included, raises
+    TypeError.
     """
     chunks: list[str] = []
     append = chunks.append
+    scalar_writer = _SCALAR_WRITERS.get
     keys: dict[str, str] = {}
     breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
     seps = [",\n"]  # seps[d]: the item separator at depth d
 
     def write(obj, depth: int) -> None:
-        if isinstance(obj, str):
-            append(encode_basestring_ascii(obj))
-        elif obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, int):
-            append(int.__repr__(obj))
-        elif isinstance(obj, (list, tuple, dict)):
+        if isinstance(obj, (list, tuple, dict)):
             if not obj:
                 append("{}" if isinstance(obj, dict) else "[]")
                 return
@@ -174,7 +178,12 @@ def _dumps(doc) -> str:
                     append(lead)
                     append(key)
                     lead = sep
-                    write(obj[k], inner)
+                    v = obj[k]
+                    encode = scalar_writer(type(v))
+                    if encode is None:
+                        write(v, inner)
+                    else:
+                        append(encode(v))
                 append(breaks[depth])
                 append("}")
             else:
@@ -182,9 +191,23 @@ def _dumps(doc) -> str:
                 for v in obj:
                     append(lead)
                     lead = sep
-                    write(v, inner)
+                    encode = scalar_writer(type(v))
+                    if encode is None:
+                        write(v, inner)
+                    else:
+                        append(encode(v))
                 append(breaks[depth])
                 append("]")
+        elif isinstance(obj, str):
+            append(encode_basestring_ascii(obj))
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, int):
+            append(int.__repr__(obj))
         else:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -7,9 +7,10 @@ ordered list of transfers; all rules are evaluated against the initial
 classification simultaneously, so transfers add up and are never chained.
 All arithmetic is exact (fractions.Fraction); floats never enter a ledger.
 Sums are taken on integers where they can be: a ledger total is one
-integer sum of numerators over the lcm of the denominators, and each rule
-moves its amount once per element, times the element's net count of
-transfers under that rule.
+integer sum of numerators over the lcm of the denominators, and discharging
+keeps each charge as a numerator over the lcm of the rule amounts' and the
+initial charges' denominators, adding each rule's scaled amount once per
+transfer.
 
 Classification vocabulary:
   * a 2-vertex is bad when it lies on a 3-face, good otherwise;
@@ -257,9 +258,14 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
         i: tuple(u for u in face_walk_vertices[i] if u in bad_two)
         for i in sorted({i for v in bad_two for i in corners[v]})
     }
-    good_two_neighbors = {
-        v: tuple(u for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
-    }
+    # Each good 2-vertex joins its neighbors' lists in vertex order, which is
+    # the ascending index order of ordered_neighbors.
+    good_two_around: list[list[Vertex]] = [[] for _ in g.vertices]
+    for v, around in zip(g.vertices, g.adjacency):
+        if v in good_two:
+            for i in around:
+                good_two_around[i].append(v)
+    good_two_neighbors = dict(zip(g.vertices, map(tuple, good_two_around)))
 
     pendant: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
     for i in three_faces:
@@ -331,17 +337,27 @@ def _discharge(
     analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
 ) -> tuple[ChargeLedger, ChargeLedger, list[Transfer]]:
     initial = initial_charges(analysis)
-    charges = dict(initial.charges)
+    # every charge is a numerator over den, so each transfer is two integer
+    # additions of its rule's step
+    den = math.lcm(
+        *{rule.amount.denominator for rule in ruleset.rules},
+        *{q.denominator for q in initial.charges.values()},
+    )
+    nums = {key: q.numerator * (den // q.denominator) for key, q in initial.charges.items()}
     log: list[Transfer] = []
     for rule in ruleset.rules:
-        net: dict[ElementKey, int] = {}  # transfers received minus sent
+        step = rule.amount.numerator * (den // rule.amount.denominator)
         for t in _rule_transfers(analysis.tags, rule):
-            net[t.source] = net.get(t.source, 0) - 1
-            net[t.target] = net.get(t.target, 0) + 1
+            nums[t.source] -= step
+            nums[t.target] += step
             log.append(t)
-        for key, count in net.items():
-            if count:
-                charges[key] += count * rule.amount
+    values: dict[int, Fraction] = {}  # one Fraction per distinct numerator
+    charges: dict[ElementKey, Fraction] = {}
+    for key, num in nums.items():
+        value = values.get(num)
+        if value is None:
+            value = values[num] = Fraction(num, den)
+        charges[key] = value
     return initial, ChargeLedger(initial.elements, charges), log
 
 

@@ -326,10 +326,23 @@ def is_connected(g: Graph) -> bool:
 
 def _edgelist_lines(g: Graph) -> list[str]:
     """The 'n m' line, edge lines and label lines that .graph and .emb
-    documents share."""
+    documents share.
+
+    A label line is split on whitespace and documents on line breaks, so a
+    label that is empty or holds a whitespace character (every line break
+    is one) raises ValueError rather than write a line the loaders reject.
+    """
     edges = [f"{i} {j}" for i, ns in enumerate(g.adjacency) for j in ns if j > i]
-    labels = [f"label {i} {name}" for i, v in enumerate(g.vertices)
-              if (name := g.label_of(v)) is not None]
+    labels = []
+    for i, v in enumerate(g.vertices):
+        name = g.label_of(v)
+        if name is None:
+            continue
+        if name.split() != [name]:  # empty, or holds a whitespace character
+            raise ValueError(
+                f"label {name!r} of vertex {i} must be non-empty and free of whitespace"
+            )
+        labels.append(f"label {i} {name}")
     return [f"{g.vertex_count} {len(edges)}", *edges, *labels]
 
 

@@ -6,7 +6,10 @@ slack knapsack as it was before it folded runs of identical pieces at once,
 the validators' degeneracy checks as they were before they judged the
 classification alone, the defect rule counted vertex by vertex, with the
 extension check as it was before the brute-force checks shared one predicate,
-and a ledger replayed one Fraction operation per transfer.
+a ledger replayed one Fraction operation per transfer, the discharging loop
+as it was before it summed on integers (one Fraction product per element
+and rule), and the good 2-vertex neighbor lists as they were before they
+were built outward from each good 2-vertex.
 None of it shares code with the package under test.
 """
 
@@ -235,3 +238,36 @@ def replay_transfer_log(tags, log):
         charges[t.source] -= t.amount
         charges[t.target] += t.amount
     return charges
+
+
+def discharge_by_fractions(tags, ruleset):
+    """Final charges from 2d - 6 per vertex and d - 6 per face, each rule
+    adding its amount times every element's net count of transfers under it
+    (received minus sent), in Fraction arithmetic."""
+    charges = {("v", v): Fraction(2 * d - 6) for v, d in tags.degree.items()}
+    for i, d in enumerate(tags.face_degree):
+        charges[("f", i)] = Fraction(d - 6)
+    for rule in ruleset.rules:
+        source, targets, target = rule.relation
+        degree = tags.degree if source == "v" else tags.face_degree
+        net = {}  # transfers received minus sent
+        for s, ts in getattr(tags, targets).items():
+            if degree[s] < rule.min_degree:
+                continue
+            if rule.max_degree is not None and degree[s] > rule.max_degree:
+                continue
+            for t in ts:
+                net[(source, s)] = net.get((source, s), 0) - 1
+                net[(target, t)] = net.get((target, t), 0) + 1
+        for key, count in net.items():
+            if count:
+                charges[key] += count * rule.amount
+    return charges
+
+
+def good_two_neighbors_by_comprehension(g, good_two):
+    """Per vertex, its neighbors that are good 2-vertices, in the order of
+    `ordered_neighbors`."""
+    return {
+        v: tuple(u for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
+    }

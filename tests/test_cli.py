@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -426,6 +428,24 @@ class TestReportBytes:
 TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "\u00e9",
                           "\u2028", "\u20ac", "\U0001f600", "\U0010ffff"])
 STRINGS = st.text(st.one_of(TRICKY, st.characters()), max_size=6)
+
+
+class Level(IntEnum):
+    LOW = -1
+    ZERO = 0
+    ONE = 1
+    HUGE = 2**70
+
+
+class Text(str):
+    pass
+
+
+class Items(list):
+    pass
+
+
+# subclasses of the report types, which json writes as their base type
 SCALARS = st.one_of(
     STRINGS,
     st.integers(-2, 2),
@@ -433,11 +453,14 @@ SCALARS = st.one_of(
     st.integers(-(2**200), 2**200),
     st.booleans(),
     st.none(),
+    st.sampled_from(Level),
+    STRINGS.map(Text),
 )
 
 
 def trees(depth: int):
-    """JSON trees of dicts, lists and tuples at most `depth` containers deep."""
+    """JSON trees of dicts, lists and tuples at most `depth` containers deep,
+    with OrderedDicts, list subclasses and str subclass keys among them."""
     if depth == 0:
         return SCALARS
     sub = trees(depth - 1)
@@ -445,7 +468,9 @@ def trees(depth: int):
         SCALARS,
         st.lists(sub, max_size=3),
         st.lists(sub, max_size=3).map(tuple),
+        st.lists(sub, max_size=3).map(Items),
         st.dictionaries(STRINGS, sub, max_size=3),
+        st.dictionaries(STRINGS | STRINGS.map(Text), sub, max_size=3).map(OrderedDict),
     )
 
 
@@ -463,8 +488,25 @@ class TestReportWriter:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"charge": Fraction(1, 2)}, [Fraction(-3)], {1: "a"}, {"a": {None: 1}}, [0.5]],
-        ids=["fraction_value", "fraction_in_list", "int_key", "none_key", "float"],
+        [
+            {"charge": Fraction(1, 2)},
+            [Fraction(-3)],
+            {1: "a"},
+            {"a": {None: 1}},
+            [0.5],
+            Fraction(1, 3),
+            1.0,
+            {"a": 1, "b": 0.5, "c": "x"},
+            {"a": [], "b": Fraction(1, 2)},
+            ["x", 2, 0.5],
+            [None, Fraction(2, 3), True],
+            [{"a": [1, 0.25]}],
+            {"a": {"b": [Fraction(1, 2)]}},
+        ],
+        ids=["fraction_value", "fraction_in_list", "int_key", "none_key", "float",
+             "fraction_alone", "float_alone", "float_value_among_items",
+             "fraction_value_among_items", "float_item_among_items",
+             "fraction_item_among_items", "nested_float", "nested_fraction"],
     )
     def test_values_outside_the_report_types_raise(self, doc):
         # charge ledgers are stringified by build_audit, never by the writer

@@ -46,7 +46,12 @@ from corpus import (
     vertex7_one_triangle,
     vertex11_one_triangle,
 )
-from oracles import boundary_degeneracy, replay_transfer_log
+from oracles import (
+    boundary_degeneracy,
+    discharge_by_fractions,
+    good_two_neighbors_by_comprehension,
+    replay_transfer_log,
+)
 from strategies import c4c5_free_rotations, rulesets
 
 CORPUS = corpus()
@@ -269,6 +274,41 @@ class TestIntegerSums:
 
     def test_total_of_an_empty_ledger_is_zero(self):
         assert ChargeLedger((), {}).total() == Fraction(0)
+
+
+class TestAgainstPreviousLoops:
+    """The integer discharging loop and the outward good 2-vertex lists
+    give the ledgers and tags of the Fraction loop and the comprehension
+    they replaced, values and order alike."""
+
+    FIXED = [emb for _, emb in CORPUS] + [non_1k(k).embedding for k in range(1, 7)] + [
+        fused_hexagons(40)
+    ]
+    FIXED_IDS = CORPUS_IDS + [f"non_1k_{k}" for k in range(1, 7)] + ["hex40"]
+
+    @staticmethod
+    def check(emb, rulesets):
+        analysis = analyze(emb)
+        tags = analysis.tags
+        expected = good_two_neighbors_by_comprehension(emb.graph, tags.good_two_vertices)
+        assert list(tags.good_two_neighbors.items()) == list(expected.items())
+        assert tags.beta == {v: len(us) for v, us in expected.items()}
+        for ruleset in rulesets:
+            final, _ = apply_ruleset(analysis, ruleset)
+            oracle = discharge_by_fractions(tags, ruleset)
+            assert final.elements == tuple(oracle)
+            assert list(final.charges.items()) == list(oracle.items())
+            assert all(type(q) is Fraction for q in final.charges.values())
+
+    @pytest.mark.parametrize("emb", FIXED, ids=FIXED_IDS)
+    def test_fixed_embeddings(self, emb):
+        self.check(emb, (RULES_44, RULES_35, RULES_29))
+
+    @settings(max_examples=150, deadline=None)
+    @given(emb=c4c5_free_rotations(max_n=9), ruleset=rulesets())
+    def test_drawn_rotations(self, emb, ruleset):
+        assume(analyze(emb).defect is None)
+        self.check(emb, (RULES_44, RULES_35, RULES_29, ruleset))
 
 
 class TestVerifyConservation:

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defcol import Graph, dump_embedding, dump_graph, load_embedding, load_graph, triangle_link
+from defcol import (
+    Graph,
+    PlaneEmbedding,
+    dump_embedding,
+    dump_graph,
+    load_embedding,
+    load_graph,
+    triangle_link,
+)
 from defcol.cli import main
 from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
@@ -169,3 +177,45 @@ def test_integer_field_messages_are_unchanged(text, message):
     with pytest.raises(ValueError) as exc:
         loader(text)
     assert str(exc.value) == message
+
+
+def labelled_path(names):
+    """A path on opaque vertex ids listed in reverse, the i-th id labelled
+    names[i], with its embedding (a path has one rotation)."""
+    ids = [("v", i) for i in reversed(range(len(names)))]
+    g = Graph(ids, list(zip(ids, ids[1:])), {("v", i): name for i, name in enumerate(names)})
+    return g, PlaneEmbedding(g, {v: g.ordered_neighbors(v) for v in ids})
+
+
+def writable(name):
+    """The label rule of the text formats, character by character."""
+    return name != "" and not any(c.isspace() for c in name)
+
+
+@pytest.mark.parametrize("name", ["a b", "", "x\ny", "x\ry", "x\ty", "x\x0b", "\x1c",
+                                  "x\x85", "x\u2028", "\u3000"])
+def test_dumpers_reject_labels_their_loaders_reject(name):
+    g, emb = labelled_path(["a", name])
+    for dump, value in ((dump_graph, g), (dump_embedding, emb)):
+        with pytest.raises(ValueError) as exc:
+            dump(value)
+        assert str(exc.value) == (
+            f"label {name!r} of vertex 0 must be non-empty and free of whitespace"
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+def test_labels_round_trip_or_raise(names):
+    g, emb = labelled_path(names)
+    expected = {g.index_of(v): name for v, name in g.labels.items()}
+    cases = ((dump_graph, g, load_graph),
+             (dump_embedding, emb, lambda text: load_embedding(text).graph))
+    for dump, value, load in cases:
+        try:
+            text = dump(value)
+        except ValueError:
+            assert not all(map(writable, names))
+            continue
+        assert all(map(writable, names))
+        assert load(text).labels == expected
