@@ -30,11 +30,18 @@ class CnfDocument:
         return self.var_map[(v, c)]
 
     def to_dimacs(self) -> str:
-        lines = [CNF_HEADER]
-        lines.extend(self.comments)
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        """DIMACS text: the header, the comments, the `p cnf` line, then one
+        line per clause, its literals and a closing 0 separated by spaces.
+
+        Each clause goes through one `%d` template per width, so clauses
+        must be tuples of ints, as `export_cnf` makes them (`%d` writes
+        True as 1). An empty clause is written " 0".
+        """
+        clauses = self.clauses
+        widest = max(map(len, clauses), default=0)
+        formats = [" 0"] + ["%d " * w + "0" for w in range(1, widest + 1)]
+        lines = [CNF_HEADER, *self.comments, f"p cnf {self.num_vars} {len(clauses)}"]
+        lines += [formats[len(clause)] % clause for clause in clauses]
         return "\n".join(lines) + "\n"
 
 
@@ -51,19 +58,17 @@ def export_cnf(
     if k < 2:
         raise ValueError("CNF export needs at least two color classes")
 
-    verts = g.vertices
-    idx = g.index_of
-    var_map = {(v, c): idx(v) * k + c for v in verts for c in range(1, k + 1)}
-    next_var = len(verts) * k
+    n = g.vertex_count
+    colors = range(1, k + 1)
+    var_map = {(v, c): i * k + c for i, v in enumerate(g.vertices) for c in colors}
+    next_var = n * k
     clauses: list[tuple[int, ...]] = []
-    comments = [f"c x {idx(v) * k + c} : vertex {idx(v)} color {c}" for v in verts for c in range(1, k + 1)]
+    comments = [f"c x {i * k + c} : vertex {i} color {c}" for i in range(n) for c in colors]
 
-    for v in verts:
-        xs = [var_map[(v, c)] for c in range(1, k + 1)]
-        clauses.append(tuple(xs))
-        for a in range(k):
-            for b in range(a + 1, k):
-                clauses.append((-xs[a], -xs[b]))
+    pairs = [(a, b) for a in colors for b in range(a + 1, k + 1)]
+    for base in range(0, n * k, k):
+        clauses.append(tuple(range(base + 1, base + k + 1)))
+        clauses += [(-base - a, -base - b) for a, b in pairs]
 
     for v, c in cons.forced.items():
         clauses.append((var_map[(v, c)],))
@@ -71,36 +76,35 @@ def export_cnf(
         for c in sorted(cs):
             clauses.append((-var_map[(v, c)],))
 
-    for i, v in enumerate(verts):
-        around = g.adjacency[i]
-        for c in range(1, k + 1):
-            trigger = var_map[(v, c)]
+    defects = spec.defects
+    for i, around in enumerate(g.adjacency):
+        m = len(around)
+        for c in colors:
+            d = defects[c - 1]
+            if m <= d:
+                continue
+            trigger = i * k + c
             ys = [u * k + c for u in around]
-            d = spec.defects[c - 1]
-            if len(ys) <= d:
-                continue
             if d == 0:
-                for y in ys:
-                    clauses.append((-trigger, -y))
+                clauses += [(-trigger, -y) for y in ys]
                 continue
-            # Sequential counter r[i][j]: among ys[0..i], at least j+1 true.
-            m = len(ys)
-            r = [[0] * d for _ in range(m - 1)]
-            for i in range(m - 1):
-                for j in range(d):
-                    next_var += 1
-                    r[i][j] = next_var
-            clauses.append((-ys[0], r[0][0]))
-            for j in range(1, d):
-                clauses.append((-r[0][j],))
-            for i in range(1, m - 1):
-                clauses.append((-ys[i], r[i][0]))
-                clauses.append((-r[i - 1][0], r[i][0]))
+            # Sequential counter r(t, j) = base + t*d + j + 1, t < m-1, j < d:
+            # among ys[0..t], at least j+1 true.
+            base = next_var
+            next_var += (m - 1) * d
+            clauses.append((-ys[0], base + 1))
+            clauses += [(-base - 1 - j,) for j in range(1, d)]
+            for t in range(1, m - 1):
+                r = base + t * d + 1  # r(t, 0); r(t - 1, d - 1) is r - 1
+                p = r - d  # r(t - 1, 0)
+                y = -ys[t]
+                clauses.append((y, r))
+                clauses.append((-p, r))
                 for j in range(1, d):
-                    clauses.append((-ys[i], -r[i - 1][j - 1], r[i][j]))
-                    clauses.append((-r[i - 1][j], r[i][j]))
-                clauses.append((-trigger, -ys[i], -r[i - 1][d - 1]))
-            clauses.append((-trigger, -ys[m - 1], -r[m - 2][d - 1]))
+                    clauses.append((y, 1 - p - j, r + j))
+                    clauses.append((-p - j, r + j))
+                clauses.append((-trigger, y, 1 - r))
+            clauses.append((-trigger, -ys[m - 1], -next_var))
 
     return CnfDocument(next_var, clauses, var_map, comments)
 

@@ -8,8 +8,10 @@ classification alone, the defect rule counted vertex by vertex, with the
 extension check as it was before the brute-force checks shared one predicate,
 a ledger replayed one Fraction operation per transfer, the discharging loop
 as it was before it summed on integers (one Fraction product per element
-and rule), and the good 2-vertex neighbor lists as they were before they
-were built outward from each good 2-vertex.
+and rule), the good 2-vertex neighbor lists as they were before they
+were built outward from each good 2-vertex, and the CNF encoder and DIMACS
+writer as they were before counter variables were numbered by arithmetic
+and clauses written through per-width templates.
 None of it shares code with the package under test.
 """
 
@@ -271,3 +273,74 @@ def good_two_neighbors_by_comprehension(g, good_two):
     return {
         v: tuple(u for u in g.ordered_neighbors(v) if u in good_two) for v in g.vertices
     }
+
+
+def export_cnf_by_matrix(g, spec, constraints):
+    """(num_vars, clauses, var_map, comments) of the CNF encoding, with each
+    sequential counter's variables filled into an r matrix one at a time.
+    Takes a ColoringSpec and a ConstraintSet already valid for g."""
+    cons = constraints
+    k = spec.k
+
+    verts = g.vertices
+    idx = g.index_of
+    var_map = {(v, c): idx(v) * k + c for v in verts for c in range(1, k + 1)}
+    next_var = len(verts) * k
+    clauses = []
+    comments = [f"c x {idx(v) * k + c} : vertex {idx(v)} color {c}" for v in verts for c in range(1, k + 1)]
+
+    for v in verts:
+        xs = [var_map[(v, c)] for c in range(1, k + 1)]
+        clauses.append(tuple(xs))
+        for a in range(k):
+            for b in range(a + 1, k):
+                clauses.append((-xs[a], -xs[b]))
+
+    for v, c in cons.forced.items():
+        clauses.append((var_map[(v, c)],))
+    for v, cs in cons.forbidden.items():
+        for c in sorted(cs):
+            clauses.append((-var_map[(v, c)],))
+
+    for i, v in enumerate(verts):
+        around = g.adjacency[i]
+        for c in range(1, k + 1):
+            trigger = var_map[(v, c)]
+            ys = [u * k + c for u in around]
+            d = spec.defects[c - 1]
+            if len(ys) <= d:
+                continue
+            if d == 0:
+                for y in ys:
+                    clauses.append((-trigger, -y))
+                continue
+            # Sequential counter r[i][j]: among ys[0..i], at least j+1 true.
+            m = len(ys)
+            r = [[0] * d for _ in range(m - 1)]
+            for i in range(m - 1):
+                for j in range(d):
+                    next_var += 1
+                    r[i][j] = next_var
+            clauses.append((-ys[0], r[0][0]))
+            for j in range(1, d):
+                clauses.append((-r[0][j],))
+            for i in range(1, m - 1):
+                clauses.append((-ys[i], r[i][0]))
+                clauses.append((-r[i - 1][0], r[i][0]))
+                for j in range(1, d):
+                    clauses.append((-ys[i], -r[i - 1][j - 1], r[i][j]))
+                    clauses.append((-r[i - 1][j], r[i][j]))
+                clauses.append((-trigger, -ys[i], -r[i - 1][d - 1]))
+            clauses.append((-trigger, -ys[m - 1], -r[m - 2][d - 1]))
+
+    return next_var, clauses, var_map, comments
+
+
+def dimacs_by_join(num_vars, clauses, comments):
+    """DIMACS text with each clause's literals joined one str() at a time."""
+    lines = ["c defcol-cnf v1"]
+    lines.extend(comments)
+    lines.append(f"p cnf {num_vars} {len(clauses)}")
+    for clause in clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
