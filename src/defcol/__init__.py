@@ -14,7 +14,6 @@ from .graphs import (
     delete_vertex,
     dump_graph,
     girth,
-    identify,
     is_c4c5_free,
     is_connected,
     load_graph,
@@ -31,17 +30,15 @@ from .embedding import (
 )
 from .coloring import (
     BRUTE_FORCE_CAP,
-    BudgetExceededError,
     ColoringSpec,
     ConstraintSet,
     SolveOutcome,
     always_extends,
     brute_force_oracle,
-    deletion_preserves,
     is_valid_coloring,
     solve,
 )
-from .cnf import CnfDocument, decode_cnf_model, export_cnf
+from .cnf import CnfDocument, export_cnf
 from .gadgets import GadgetResult, hub_gadget, non_1k, np_reduce, triangle_link
 from .discharging import (
     ChargeLedger,
@@ -72,7 +69,6 @@ __all__ = [
     "Graph",
     "Vertex",
     "make_graph",
-    "identify",
     "delete_vertex",
     "cycles_of_length",
     "girth",
@@ -90,16 +86,13 @@ __all__ = [
     "ColoringSpec",
     "ConstraintSet",
     "SolveOutcome",
-    "BudgetExceededError",
     "BRUTE_FORCE_CAP",
     "is_valid_coloring",
     "solve",
     "brute_force_oracle",
     "always_extends",
-    "deletion_preserves",
     "CnfDocument",
     "export_cnf",
-    "decode_cnf_model",
     "GadgetResult",
     "triangle_link",
     "hub_gadget",

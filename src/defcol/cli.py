@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -421,6 +422,12 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"defcol: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:  # stdout closed early: its flush at exit must not fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("defcol: error: output closed before it was all written", file=sys.stderr)
         return EXIT_ERROR
     finally:
         if collecting:

@@ -26,9 +26,6 @@ class CnfDocument:
     var_map: dict[tuple[Vertex, int], int]
     comments: list[str] = field(default_factory=list)
 
-    def var_of(self, v: Vertex, c: int) -> int:
-        return self.var_map[(v, c)]
-
     def to_dimacs(self) -> str:
         """DIMACS text: the header, the comments, the `p cnf` line, then one
         line per clause, its literals and a closing 0 separated by spaces.
@@ -107,18 +104,3 @@ def export_cnf(
             clauses.append((-trigger, -ys[m - 1], -next_var))
 
     return CnfDocument(next_var, clauses, var_map, comments)
-
-
-def decode_cnf_model(doc: CnfDocument, model: Iterable[int]) -> dict[Vertex, int]:
-    """Read a coloring back off a satisfying assignment's positive literals."""
-    true_vars = {lit for lit in model if lit > 0}
-    coloring: dict[Vertex, int] = {}
-    for (v, c), var in doc.var_map.items():
-        if var in true_vars:
-            if v in coloring:
-                raise ValueError(f"model assigns two colors to vertex {v!r}")
-            coloring[v] = c
-    missing = [v for (v, _c) in doc.var_map if v not in coloring]
-    if missing:
-        raise ValueError(f"model leaves vertex {missing[0]!r} uncolored")
-    return coloring

@@ -1,7 +1,6 @@
 """Defective colorings: validity semantics, an exact backtracking solver with
-defect-capacity propagation, an independent brute-force oracle, and two
-checks on one vertex v: whether every coloring of g - v extends to v, and
-whether deleting v preserves colorability.
+defect-capacity propagation, an independent brute-force oracle, and a check
+on one vertex v: whether every coloring of g - v extends to v.
 
 A coloring with defect vector (d1, ..., dk) assigns each vertex a color in
 1..k so that a vertex of color i has at most d_i neighbors of the same
@@ -35,10 +34,6 @@ BUDGET = "budget"
 PROFILE_MAX_BUDGETS = 16
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised where an exhaustive verdict was required but the budget ran out."""
-
-
 class _BudgetStop(Exception):
     """Unwinds every open search of `solve` once the decision budget runs out."""
 
@@ -53,7 +48,10 @@ class ColoringSpec:
     defects: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "defects", tuple(int(d) for d in self.defects))
+        object.__setattr__(self, "defects", tuple(self.defects))
+        for d in self.defects:
+            if type(d) is not int:
+                raise ValueError(f"defect {d!r} is not an int")
         if len(self.defects) < 1:
             raise ValueError("at least one color class is required")
         if any(d < 0 for d in self.defects):
@@ -153,12 +151,16 @@ def _validate_constraints(g: Graph, spec: ColoringSpec, cons: ConstraintSet) -> 
     for v, c in cons.forced.items():
         if v not in g:
             raise ValueError(f"forced constraint on unknown vertex {v!r}")
+        if type(c) is not int:
+            raise ValueError(f"forced color {c!r} is not an int")
         if not (1 <= c <= k):
             raise ValueError(f"forced color {c} out of range 1..{k}")
     for v, cs in cons.forbidden.items():
         if v not in g:
             raise ValueError(f"forbidden constraint on unknown vertex {v!r}")
         for c in cs:
+            if type(c) is not int:
+                raise ValueError(f"forbidden color {c!r} is not an int")
             if not (1 <= c <= k):
                 raise ValueError(f"forbidden color {c} out of range 1..{k}")
     for v, c in cons.forced.items():
@@ -780,22 +782,3 @@ def always_extends(g: Graph, v: Vertex, spec: ColoringSpec | Iterable[int]) -> b
         if not any(_within_defects(adj, defects, head + (c,) + tail) for c in colors):
             return False
     return True
-
-
-def deletion_preserves(
-    g: Graph, v: Vertex, spec: ColoringSpec | Iterable[int], *, budget: int
-) -> bool:
-    """True iff colorability of g - v implies colorability of g.
-
-    A False answer exhibits v as witnessing vertex-criticality. Raises
-    BudgetExceededError when either solve cannot reach a verdict.
-    """
-    reduced = solve(delete_vertex(g, v), spec, budget=budget)
-    if reduced.exceeded_budget:
-        raise BudgetExceededError("budget exhausted on the deleted-vertex subproblem")
-    if reduced.is_unsat:
-        return True
-    whole = solve(g, spec, budget=budget)
-    if whole.exceeded_budget:
-        raise BudgetExceededError("budget exhausted on the full graph")
-    return whole.is_sat

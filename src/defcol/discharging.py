@@ -8,9 +8,9 @@ classification simultaneously, so transfers add up and are never chained.
 All arithmetic is exact (fractions.Fraction); floats never enter a ledger.
 Sums are taken on integers where they can be: a ledger total is one
 integer sum of numerators over the lcm of the denominators, and discharging
-keeps each charge as a numerator over the lcm of the rule amounts' and the
-initial charges' denominators, adding each rule's scaled amount once per
-transfer.
+keeps each charge as a numerator over the lcm of the rule amounts'
+denominators (initial charges are integers), adding each rule's scaled
+amount once per transfer.
 
 Classification vocabulary:
   * a 2-vertex is bad when it lies on a 3-face, good otherwise;
@@ -52,16 +52,11 @@ BAD2_INCIDENT = ("f", "face_bad_two", "v")
 class StructureTags:
     """Complete structural classification of one embedding."""
 
-    faces: tuple[Face, ...]
     degree: dict[Vertex, int]
     face_degree: tuple[int, ...]
     face_walk_vertices: tuple[tuple[Vertex, ...], ...]
-    face_signature: tuple[tuple[int, ...], ...]
     corners: dict[Vertex, tuple[int, ...]]
-    three_faces: tuple[int, ...]
     bad_two_vertices: frozenset[Vertex]
-    good_two_vertices: frozenset[Vertex]
-    bad_three_faces: frozenset[int]
     incident_three_faces: dict[Vertex, tuple[int, ...]]
     pendant_faces: dict[Vertex, tuple[int, ...]]
     good_two_neighbors: dict[Vertex, tuple[Vertex, ...]]
@@ -85,16 +80,12 @@ class Transfer:
 class ChargeLedger:
     """Exact rational charge per element, in canonical element order."""
 
-    elements: tuple[ElementKey, ...]
     charges: dict[ElementKey, Fraction]
 
     def total(self) -> Fraction:
         values = self.charges.values()
         den = math.lcm(*{q.denominator for q in values})
         return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
-
-    def charge_of(self, key: ElementKey) -> Fraction:
-        return self.charges[key]
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,6 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
     degree = {v: g.degree(v) for v in g.vertices}
     face_degree = tuple(f.degree for f in faces)
     face_walk_vertices = tuple(f.vertices() for f in faces)
-    face_signature = tuple(
-        tuple(sorted(degree[v] for v in walk)) for walk in face_walk_vertices
-    )
     three_faces = tuple(i for i, d in enumerate(face_degree) if d == 3)
 
     # face index at each corner, one per walk occurrence: d entries at degree d
@@ -283,16 +271,11 @@ def _classify(g: Graph, faces: list[Face]) -> StructureTags:
     gamma = {v: len(pendant_faces[v]) for v in g.vertices}
 
     return StructureTags(
-        faces=tuple(faces),
         degree=degree,
         face_degree=face_degree,
         face_walk_vertices=face_walk_vertices,
-        face_signature=face_signature,
         corners={v: tuple(cs) for v, cs in corners.items()},
-        three_faces=three_faces,
         bad_two_vertices=bad_two,
-        good_two_vertices=good_two,
-        bad_three_faces=frozenset(i for i in face_bad_two if face_degree[i] == 3),
         incident_three_faces=incident_three,
         pendant_faces=pendant_faces,
         good_two_neighbors=good_two_neighbors,
@@ -311,7 +294,7 @@ def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
         charges[("v", v)] = Fraction(2 * d - 6)
     for i, d in enumerate(tags.face_degree):
         charges[("f", i)] = Fraction(d - 6)
-    return ChargeLedger(tuple(charges), charges)  # vertices, then faces
+    return ChargeLedger(charges)  # vertices, then faces
 
 
 def _rule_transfers(tags: StructureTags, rule: Rule) -> Iterator[Transfer]:
@@ -338,12 +321,9 @@ def _discharge(
 ) -> tuple[ChargeLedger, ChargeLedger, list[Transfer]]:
     initial = initial_charges(analysis)
     # every charge is a numerator over den, so each transfer is two integer
-    # additions of its rule's step
-    den = math.lcm(
-        *{rule.amount.denominator for rule in ruleset.rules},
-        *{q.denominator for q in initial.charges.values()},
-    )
-    nums = {key: q.numerator * (den // q.denominator) for key, q in initial.charges.items()}
+    # additions of its rule's step; initial charges are integers
+    den = math.lcm(*{rule.amount.denominator for rule in ruleset.rules})
+    nums = {key: q.numerator * den for key, q in initial.charges.items()}
     log: list[Transfer] = []
     for rule in ruleset.rules:
         step = rule.amount.numerator * (den // rule.amount.denominator)
@@ -351,30 +331,21 @@ def _discharge(
             nums[t.source] -= step
             nums[t.target] += step
             log.append(t)
-    values: dict[int, Fraction] = {}  # one Fraction per distinct numerator
-    charges: dict[ElementKey, Fraction] = {}
-    for key, num in nums.items():
-        value = values.get(num)
-        if value is None:
-            value = values[num] = Fraction(num, den)
-        charges[key] = value
-    return initial, ChargeLedger(initial.elements, charges), log
+    values = {num: Fraction(num, den) for num in set(nums.values())}  # one per numerator
+    charges = {key: values[num] for key, num in nums.items()}
+    return initial, ChargeLedger(charges), log
 
 
 def verify_conservation(initial: ChargeLedger, final: ChargeLedger) -> bool:
     """Exact rational equality of totals over the same element set."""
-    if initial.elements != final.elements:
+    if list(initial.charges) != list(final.charges):
         raise ValueError("ledgers cover different element sets")
     return initial.total() == final.total()
 
 
 def negative_elements(ledger: ChargeLedger) -> list[tuple[ElementKey, Fraction]]:
     """Elements with strictly negative charge, in canonical order."""
-    return [
-        (key, ledger.charges[key])
-        for key in ledger.elements
-        if ledger.charges[key].numerator < 0
-    ]
+    return [(key, q) for key, q in ledger.charges.items() if q.numerator < 0]
 
 
 # -- structural validators ------------------------------------------------
@@ -535,10 +506,10 @@ def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
     analysis = analyze(emb)
     tags = analysis.tags
     initial, final, log = _discharge(analysis, ruleset)
-    # final is built over initial.elements, so equal totals are conservation
+    # final is built over initial's keys, so equal totals are conservation
     initial_total, final_total = initial.total(), final.total()
     per_element: dict[ElementKey, dict] = {}
-    for key in initial.elements:
+    for key in initial.charges:
         kind, ident = key
         entry = _key_json(key)
         if kind == "v":
@@ -564,7 +535,7 @@ def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
         "initial_total": str(initial_total),
         "final_total": str(final_total),
         "conservation": initial_total == final_total,
-        "elements": [per_element[key] for key in initial.elements],
+        "elements": list(per_element.values()),
         "negative": [
             {**_key_json(key), "charge": str(charge)}
             for key, charge in negative_elements(final)

@@ -73,10 +73,6 @@ class PlaneEmbedding:
     def rotation_of(self, v: Vertex) -> tuple[Vertex, ...]:
         return self._rotation[v]
 
-    @property
-    def rotation(self) -> dict[Vertex, tuple[Vertex, ...]]:
-        return dict(self._rotation)
-
     def successor(self, v: Vertex, u: Vertex) -> Vertex:
         """Neighbor following u in the cyclic order around v."""
         return self._succ[(v, u)]

@@ -153,29 +153,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(range(n), edges)
 
 
-def identify(g: Graph, u: Vertex, v: Vertex) -> Graph:
-    """Merge v into u: neighborhoods union, loops dropped, parallels collapse.
-
-    The merged vertex keeps u's identifier (and u's label, if any); v's
-    label disappears with it.
-    """
-    if u == v:
-        raise ValueError("cannot identify a vertex with itself")
-    if u not in g:
-        raise ValueError(f"vertex {u!r} not in graph")
-    if v not in g:
-        raise ValueError(f"vertex {v!r} not in graph")
-    vertices = [w for w in g.vertices if w != v]
-    edges = []
-    for a, b in g.edges():
-        a2 = u if a == v else a
-        b2 = u if b == v else b
-        if a2 != b2:
-            edges.append((a2, b2))
-    labels = {w: name for w, name in g.labels.items() if w != v}
-    return Graph(vertices, edges, labels)
-
-
 def delete_vertex(g: Graph, v: Vertex) -> Graph:
     """Induced subgraph on V(g) minus v."""
     if v not in g:

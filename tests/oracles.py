@@ -13,6 +13,11 @@ were built outward from each good 2-vertex, and the CNF encoder and DIMACS
 writer as they were before counter variables were numbered by arithmetic
 and clauses written through per-width templates.
 None of it shares code with the package under test.
+
+The last section holds helpers that only tests call, moved here unchanged
+from the package: `identify`, `deletion_preserves` with its
+`BudgetExceededError`, and `decode_cnf_model`. `deletion_preserves` runs
+the package's `solve`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from typing import Iterable
+
+from defcol import CnfDocument, ColoringSpec, Graph, Vertex, delete_vertex, solve
+from defcol.embedding import certify_faces
 
 
 def canonical_cycle(g, seq):
@@ -180,13 +189,15 @@ def knapsack_one_at_a_time(pending, slack):
     return atts, sorted(front.items(), key=lambda item: (sum(item[0]), item[0]))
 
 
-def boundary_degeneracy(tags):
+def boundary_degeneracy(emb, tags):
     """Per vertex, the degeneracy verdicts of bad2_face_degrees and
     vertex_profiles by comparing faces' boundary edge multisets: the `why`
     of a degenerate bad 2-vertex (else None), and whether the vertex's
-    incident 3-faces include two with the same boundary."""
+    incident 3-faces include two with the same boundary. `tags` is the
+    classification of the certified embedding `emb`."""
+    faces, _ = certify_faces(emb)
     boundaries = tuple(
-        frozenset(Counter(frozenset(d) for d in f.walk).items()) for f in tags.faces
+        frozenset(Counter(frozenset(d) for d in f.walk).items()) for f in faces
     )
 
     def coincident(i, j):
@@ -344,3 +355,67 @@ def dimacs_by_join(num_vars, clauses, comments):
     for clause in clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+# -- test-only helpers, as the package had them ------------------------------
+
+
+def identify(g: Graph, u: Vertex, v: Vertex) -> Graph:
+    """Merge v into u: neighborhoods union, loops dropped, parallels collapse.
+
+    The merged vertex keeps u's identifier (and u's label, if any); v's
+    label disappears with it.
+    """
+    if u == v:
+        raise ValueError("cannot identify a vertex with itself")
+    if u not in g:
+        raise ValueError(f"vertex {u!r} not in graph")
+    if v not in g:
+        raise ValueError(f"vertex {v!r} not in graph")
+    vertices = [w for w in g.vertices if w != v]
+    edges = []
+    for a, b in g.edges():
+        a2 = u if a == v else a
+        b2 = u if b == v else b
+        if a2 != b2:
+            edges.append((a2, b2))
+    labels = {w: name for w, name in g.labels.items() if w != v}
+    return Graph(vertices, edges, labels)
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised where an exhaustive verdict was required but the budget ran out."""
+
+
+def deletion_preserves(
+    g: Graph, v: Vertex, spec: ColoringSpec | Iterable[int], *, budget: int
+) -> bool:
+    """True iff colorability of g - v implies colorability of g.
+
+    A False answer exhibits v as witnessing vertex-criticality. Raises
+    BudgetExceededError when either solve cannot reach a verdict.
+    """
+    reduced = solve(delete_vertex(g, v), spec, budget=budget)
+    if reduced.exceeded_budget:
+        raise BudgetExceededError("budget exhausted on the deleted-vertex subproblem")
+    if reduced.is_unsat:
+        return True
+    whole = solve(g, spec, budget=budget)
+    if whole.exceeded_budget:
+        raise BudgetExceededError("budget exhausted on the full graph")
+    return whole.is_sat
+
+
+def decode_cnf_model(doc: CnfDocument, model: Iterable[int]) -> dict[Vertex, int]:
+    """Read a coloring back off a satisfying assignment's positive literals."""
+    true_vars = {lit for lit in model if lit > 0}
+    coloring: dict[Vertex, int] = {}
+    for (v, c), var in doc.var_map.items():
+        if var in true_vars:
+            if v in coloring:
+                raise ValueError(f"model assigns two colors to vertex {v!r}")
+            coloring[v] = c
+    missing = [v for (v, _c) in doc.var_map if v not in coloring]
+    if missing:
+        raise ValueError(f"model leaves vertex {missing[0]!r} uncolored")
+    return coloring

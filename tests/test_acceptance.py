@@ -174,18 +174,18 @@ def test_criterion_6_arithmetic_reproduction():
     started = time.time()
     emb = face_2_6_6()
     tags = classify(emb)
-    tri = tags.three_faces[0]
-    assert tags.face_signature[tri] == (2, 6, 6)
+    tri = tags.face_degree.index(3)
+    assert tuple(sorted(tags.degree[v] for v in tags.face_walk_vertices[tri])) == (2, 6, 6)
     final, _ = apply_ruleset(emb, RULES_44)
-    assert final.charge_of(("f", tri)) == Fraction(-3) + 2 * 2 - 1 == Fraction(0)
+    assert final.charges[("f", tri)] == Fraction(-3) + 2 * 2 - 1 == Fraction(0)
 
     emb = vertex7_one_triangle()
     final, _ = apply_ruleset(emb, RULES_35)
-    assert final.charge_of(("v", 0)) == Fraction(8) - (2 + 5 * Fraction(6, 5)) == Fraction(0)
+    assert final.charges[("v", 0)] == Fraction(8) - (2 + 5 * Fraction(6, 5)) == Fraction(0)
 
     emb = vertex11_one_triangle()
     final, _ = apply_ruleset(emb, RULES_29)
-    assert final.charge_of(("v", 0)) == Fraction(16) - (9 * Fraction(3, 2) + Fraction(5, 2)) == Fraction(0)
+    assert final.charges[("v", 0)] == Fraction(16) - (9 * Fraction(3, 2) + Fraction(5, 2)) == Fraction(0)
     report("C6", "three displayed charge balances reproduce exactly", started)
 
 

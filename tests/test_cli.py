@@ -526,13 +526,36 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def fresh_run(*argv):
-    """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
+def fresh_command(*argv):
+    """The command line and environment that run the CLI in a new interpreter."""
     src = str(Path(defcol.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "defcol.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return [sys.executable, "-m", "defcol.cli", *argv], env
+
+
+def fresh_run(*argv):
+    """Run the CLI in a new interpreter; returns (exit code, stdout, stderr)."""
+    command, env = fresh_command(*argv)
+    proc = subprocess.run(command, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestClosedStdout:
+    def test_reader_closing_early_gets_one_error_line(self, tmp_path, capsys):
+        prefix = tmp_path / "non1k1"
+        assert main(["gadget", "non1k", "--k", "1", "--out", str(prefix)]) == 0
+        capsys.readouterr()
+        argv = ["audit", "--embedding", f"{prefix}.emb", "--ruleset", "35"]
+        assert len(run(capsys, *argv)[1]) > 2**16  # more than a pipe buffer holds
+        command, env = fresh_command(*argv)
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{\n  "conse'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        # one line: no traceback, no "Exception ignored" from the exit flush
+        assert err == "defcol: error: output closed before it was all written\n"
 
 
 class TestRepeatedCalls:

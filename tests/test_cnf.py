@@ -11,7 +11,6 @@ from defcol import (
     ColoringSpec,
     ConstraintSet,
     brute_force_oracle,
-    decode_cnf_model,
     export_cnf,
     hub_gadget,
     is_valid_coloring,
@@ -22,7 +21,14 @@ from defcol import (
 )
 from defcol.cnf import CNF_HEADER
 
-from oracles import dimacs_by_join, dpll, export_cnf_by_matrix, model_to_lits, parse_dimacs
+from oracles import (
+    decode_cnf_model,
+    dimacs_by_join,
+    dpll,
+    export_cnf_by_matrix,
+    model_to_lits,
+    parse_dimacs,
+)
 from strategies import graphs
 
 CNF_DIGESTS = json.loads((Path(__file__).parent / "cnf_digests.json").read_text())
@@ -141,7 +147,7 @@ class TestEveryColoringHasModel:
         assumptions = []
         for v in g.vertices:
             for c in (1, 2):
-                var = doc.var_of(v, c)
+                var = doc.var_map[(v, c)]
                 assumptions.append(var if out.coloring[v] == c else -var)
         assert dpll(clauses, num_vars, assumptions) is not None
 
@@ -234,9 +240,9 @@ class TestDecoding:
     def test_two_colors_on_one_vertex_rejected(self):
         doc = export_cnf(make_graph(1, []), (0, 1))
         with pytest.raises(ValueError):
-            decode_cnf_model(doc, [doc.var_of(0, 1), doc.var_of(0, 2)])
+            decode_cnf_model(doc, [doc.var_map[(0, 1)], doc.var_map[(0, 2)]])
 
     def test_uncolored_vertex_rejected(self):
         doc = export_cnf(make_graph(1, []), (0, 1))
         with pytest.raises(ValueError):
-            decode_cnf_model(doc, [-doc.var_of(0, 1), -doc.var_of(0, 2)])
+            decode_cnf_model(doc, [-doc.var_map[(0, 1)], -doc.var_map[(0, 2)]])

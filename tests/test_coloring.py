@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defcol import (
-    BudgetExceededError,
     ColoringSpec,
     ConstraintSet,
     always_extends,
     brute_force_oracle,
-    deletion_preserves,
     dump_graph,
     hub_gadget,
     is_valid_coloring,
@@ -25,7 +23,13 @@ from defcol import coloring
 from defcol.cli import main
 
 from corpus import fused_hexagons
-from oracles import always_extends_by_enumeration, knapsack_one_at_a_time, valid_by_neighbor_count
+from oracles import (
+    BudgetExceededError,
+    always_extends_by_enumeration,
+    deletion_preserves,
+    knapsack_one_at_a_time,
+    valid_by_neighbor_count,
+)
 from strategies import SPECS, blocks_and_separators, graphs, knapsack_inputs
 
 

@@ -16,7 +16,6 @@ from defcol import (
     dump_graph,
     girth,
     hub_gadget,
-    identify,
     is_c4c5_free,
     make_graph,
     non_1k,
@@ -30,6 +29,7 @@ from defcol import gadgets
 from defcol.gadgets import _hub_size
 from defcol.graphs import MAX_VERTICES
 
+from oracles import identify
 from strategies import graphs
 
 HUV_GRAPH_GOLDEN = """\

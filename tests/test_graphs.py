@@ -13,7 +13,6 @@ from defcol import (
     dump_graph,
     girth,
     hub_gadget,
-    identify,
     is_c4c5_free,
     is_connected,
     load_graph,
@@ -21,7 +20,7 @@ from defcol import (
     triangle_link,
 )
 
-from oracles import cycles_by_permutation, canonical_cycle, girth_by_enumeration
+from oracles import cycles_by_permutation, canonical_cycle, girth_by_enumeration, identify
 from strategies import graphs, graphs_with_edge
 
 HUV_SKELETON_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]

@@ -3,14 +3,15 @@
 import pytest
 
 from defcol import (
+    ColoringSpec,
     ConstraintSet,
     GadgetResult,
     Graph,
     PlaneEmbedding,
     always_extends,
-    deletion_preserves,
+    brute_force_oracle,
     embedding_from_positions,
-    identify,
+    export_cnf,
     is_valid_coloring,
     load_graph,
     make_graph,
@@ -18,6 +19,8 @@ from defcol import (
     triangle_link,
 )
 from defcol.cli import main
+
+from oracles import deletion_preserves, identify
 
 EMPTY_DOCUMENT = "# defcol-edgelist v1\n"
 
@@ -40,6 +43,33 @@ REJECTED = [
     (
         lambda: solve(K3, (0, 1), ConstraintSet(forbidden={0: {3}}), budget=10),
         "forbidden color 3 out of range 1..2",
+    ),
+    (lambda: ColoringSpec((1.9, 1)), "defect 1.9 is not an int"),
+    (lambda: ColoringSpec(("2", "0")), "defect '2' is not an int"),
+    (lambda: solve(K3, (True, 1), budget=10), "defect True is not an int"),
+    (
+        lambda: solve(K3, (0, 1), ConstraintSet(forced={0: 1.5}), budget=10),
+        "forced color 1.5 is not an int",
+    ),
+    (
+        lambda: brute_force_oracle(K3, (0, 1), ConstraintSet(forced={0: 2.0})),
+        "forced color 2.0 is not an int",
+    ),
+    (
+        lambda: export_cnf(K3, (0, 1), ConstraintSet(forced={0: True})),
+        "forced color True is not an int",
+    ),
+    (
+        lambda: solve(K3, (0, 1), ConstraintSet(forbidden={0: {1.5}}), budget=10),
+        "forbidden color 1.5 is not an int",
+    ),
+    (
+        lambda: brute_force_oracle(K3, (0, 1), ConstraintSet(forbidden={0: {False}})),
+        "forbidden color False is not an int",
+    ),
+    (
+        lambda: export_cnf(K3, (0, 1), ConstraintSet(forbidden={0: {"1"}})),
+        "forbidden color '1' is not an int",
     ),
     (
         lambda: always_extends(make_graph(30, []), 0, (0, 0, 0, 0)),
