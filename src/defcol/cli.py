@@ -13,13 +13,13 @@ import gc
 import os
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import monotonic
 
 from .cnf import export_cnf
 from .coloring import ConstraintSet, SolveOutcome, brute_force_oracle, solve
-from .discharging import RULESETS, ALL_VALIDATORS, analyze, build_audit
+from .discharging import RULESETS, ALL_VALIDATORS, analyze, audit_json
+from .discharging import build_audit  # not called: bench/spans.py wraps it by this name
 from .embedding import dump_embedding, load_embedding
 from .gadgets import GadgetResult, hub_gadget, non_1k, np_reduce, triangle_link
 from .graphs import (
@@ -31,6 +31,7 @@ from .graphs import (
     is_c4c5_free,
     load_graph,
 )
+from .report import dumps as _dumps
 
 EXIT_SAT = 0
 EXIT_UNSAT = 10
@@ -125,100 +126,6 @@ def _coloring_json(g: Graph, coloring: dict | None):
     if coloring is None:
         return None
     return {str(g.index_of(v)): c for v, c in coloring.items()}
-
-
-# _dumps's encoders for container items, keyed by exact type
-_SCALAR_WRITERS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-def _dumps(doc) -> str:
-    """Return exactly `json.dumps(doc, indent=2, sort_keys=True)`.
-
-    With `indent`, the stdlib encoder falls back to nested Python generators,
-    which cost about as much as building an audit. This writer makes one
-    recursive pass that appends chunks to one list and joins them once.
-    Strings are encoded by the C escaper, each distinct key is encoded once,
-    and each depth's separators are built once. A container writes each item
-    whose exact type is str, int, bool or None itself, through
-    _SCALAR_WRITERS; only dicts, lists and tuples recurse, and anything else
-    takes the isinstance chain, so subclasses such as IntEnum members write
-    as json writes them. Values are str, int, bool, None, list, tuple or dict
-    with str keys; anything else, floats and Fractions included, raises
-    TypeError.
-    """
-    chunks: list[str] = []
-    append = chunks.append
-    scalar_writer = _SCALAR_WRITERS.get
-    keys: dict[str, str] = {}
-    breaks = ["\n"]  # breaks[d]: a newline and the indent of depth d
-    seps = [",\n"]  # seps[d]: the item separator at depth d
-
-    def write(obj, depth: int) -> None:
-        if isinstance(obj, (list, tuple, dict)):
-            if not obj:
-                append("{}" if isinstance(obj, dict) else "[]")
-                return
-            inner = depth + 1
-            if inner == len(breaks):
-                breaks.append(breaks[-1] + "  ")
-                seps.append(seps[-1] + "  ")
-            lead, sep = breaks[inner], seps[inner]
-            if isinstance(obj, dict):
-                append("{")
-                for k in sorted(obj):
-                    key = keys.get(k)
-                    if key is None:
-                        if not isinstance(k, str):
-                            raise TypeError(f"keys must be str, not {type(k).__name__}")
-                        key = keys[k] = encode_basestring_ascii(k) + ": "
-                    append(lead)
-                    append(key)
-                    lead = sep
-                    v = obj[k]
-                    encode = scalar_writer(type(v))
-                    if encode is None:
-                        write(v, inner)
-                    else:
-                        append(encode(v))
-                append(breaks[depth])
-                append("}")
-            else:
-                append("[")
-                for v in obj:
-                    append(lead)
-                    lead = sep
-                    encode = scalar_writer(type(v))
-                    if encode is None:
-                        write(v, inner)
-                    else:
-                        append(encode(v))
-                append(breaks[depth])
-                append("]")
-        elif isinstance(obj, str):
-            append(encode_basestring_ascii(obj))
-        elif obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, int):
-            append(int.__repr__(obj))
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    try:
-        write(doc, 0)
-    finally:
-        # write refers to itself through its closure cell; emptying the cell
-        # lets reference counting free the closure and the chunk list
-        del write
-    return "".join(chunks)
 
 
 def _emit(doc: dict) -> None:
@@ -329,12 +236,12 @@ def _cmd_check(args) -> int:
 def _cmd_audit(args) -> int:
     emb = load_embedding(_read(args.embedding))
     ruleset = RULESETS[args.ruleset]
-    doc = build_audit(emb, ruleset)
+    text = audit_json(emb, ruleset)
     if args.out:
-        _write(args.out, _dumps(doc) + "\n")
+        _write(args.out, text + "\n")
         _emit({"format": "defcol-audit v1", "written": args.out})
     else:
-        _emit(doc)
+        print(text)
     return EXIT_SAT
 
 

@@ -123,6 +123,8 @@ def is_valid_coloring(
     for v, c in coloring.items():
         if v not in g:
             raise ValueError(f"assignment colors unknown vertex {v!r}")
+        if type(c) is not int:
+            raise ValueError(f"color {c!r} is not an int")
         if not (1 <= c <= k):
             raise ValueError(f"color {c} out of range 1..{k}")
     colors = tuple(coloring[v] for v in g.vertices)

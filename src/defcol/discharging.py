@@ -23,14 +23,17 @@ Classification vocabulary:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
 from .graphs import Graph, Vertex, is_c4c5_free
+from .report import dumps
 
 ElementKey = tuple[str, object]  # ("v", vertex id) or ("f", face index)
 
@@ -495,53 +498,82 @@ ALL_VALIDATORS = (
 # -- audit report ----------------------------------------------------------
 
 
-def _key_json(key: ElementKey) -> dict:
-    kind, ident = key
-    return {"kind": "vertex" if kind == "v" else "face", "id": str(ident)}
+def _block(members: list[str], depth: int, brackets: str = "[]") -> str:
+    """Members already in JSON form, one per line, in a list or object that
+    json.dumps(indent=2) writes at depth."""
+    if not members:
+        return brackets
+    indent = "\n" + "  " * depth
+    return brackets[0] + indent + "  " + ("," + indent + "  ").join(members) + indent + brackets[1]
 
 
-def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
-    """Full machine-readable audit: charges, transfers, conservation,
-    negative elements, and the three structural validator verdicts."""
-    analysis = analyze(emb)
+# % templates of the audit's v1 text, by element kind where it shows, with
+# members in sort_keys order. Ids, rule ids and the ruleset name fill their
+# slots encoded; charges and amounts are str(Fraction), which needs no
+# escaping.
+_KIND = {"v": '"kind": "vertex"', "f": '"kind": "face"'}
+_ELEMENT = {
+    k: _block(['"degree": %d', '"final": "%s"', '"id": %s', '"initial": "%s"', kind,
+               '"transfers": %s', *(['"walk": %s'] if k == "f" else [])], 2, "{}")
+    for k, kind in _KIND.items()
+}
+# a transfer side at its source or target, by the kind of the other end
+_END = {k: _block(['"id": %s', kind], 5, "{}") for k, kind in _KIND.items()}
+_SENT_TO = {k: _block(['"amount": "%s"', '"rule": %s', '"sent_to": ' + end], 4, "{}")
+            for k, end in _END.items()}
+_RECEIVED_FROM = {k: _block(['"amount": "%s"', '"received_from": ' + end, '"rule": %s'], 4, "{}")
+                  for k, end in _END.items()}
+_NEGATIVE = {k: _block(['"charge": "%s"', '"id": %s', kind], 2, "{}") for k, kind in _KIND.items()}
+_AUDIT = _block(['"conservation": %s', '"elements": %s', '"final_total": "%s"',
+                 '"format": "defcol-audit v1"', '"initial_total": "%s"', '"negative": %s',
+                 '"ruleset": %s', '"validators": %s'], 0, "{}")
+
+
+def audit_json(source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRuleSet) -> str:
+    """Full machine-readable audit as v1 text: charges, transfers,
+    conservation, negative elements, and the three structural validator
+    verdicts. The ledgers and the transfer log fill the templates directly;
+    only the validators go through the generic writer."""
+    analysis = analyze(source)
     tags = analysis.tags
     initial, final, log = _discharge(analysis, ruleset)
     # final is built over initial's keys, so equal totals are conservation
     initial_total, final_total = initial.total(), final.total()
-    per_element: dict[ElementKey, dict] = {}
-    for key in initial.charges:
-        kind, ident = key
-        entry = _key_json(key)
-        if kind == "v":
-            entry["degree"] = tags.degree[ident]
-        else:
-            entry["degree"] = tags.face_degree[ident]
-            entry["walk"] = [str(u) for u in tags.face_walk_vertices[ident]]
-        entry["initial"] = str(initial.charges[key])
-        entry["final"] = str(final.charges[key])
-        entry["transfers"] = []
-        per_element[key] = entry
+    ids = {key: encode_basestring_ascii(str(key[1])) for key in initial.charges}
+    sides: dict[ElementKey, list[str]] = {key: [] for key in initial.charges}
+    rule_id = amount = None
     for t in log:
-        amount = str(t.amount)
-        per_element[t.source]["transfers"].append(
-            {"rule": t.rule_id, "sent_to": _key_json(t.target), "amount": amount}
-        )
-        per_element[t.target]["transfers"].append(
-            {"rule": t.rule_id, "received_from": _key_json(t.source), "amount": amount}
-        )
-    return {
-        "format": "defcol-audit v1",
-        "ruleset": ruleset.name,
-        "initial_total": str(initial_total),
-        "final_total": str(final_total),
-        "conservation": initial_total == final_total,
-        "elements": list(per_element.values()),
-        "negative": [
-            {**_key_json(key), "charge": str(charge)}
-            for key, charge in negative_elements(final)
-        ],
-        "validators": {
-            report.name: report.to_json()
-            for report in (v(analysis) for v in ALL_VALIDATORS)
-        },
-    }
+        # each rule's transfers are one run sharing its id and amount
+        if t.rule_id is not rule_id or t.amount is not amount:
+            rule_id, amount = t.rule_id, t.amount
+            amount_text, rule_text = str(amount), encode_basestring_ascii(rule_id)
+        src, dst = t.source, t.target
+        sides[src].append(_SENT_TO[dst[0]] % (amount_text, rule_text, ids[dst]))
+        sides[dst].append(_RECEIVED_FROM[src[0]] % (amount_text, ids[src], rule_text))
+    walk_ids = {v: ids["v", v] for v in tags.degree}
+    elements = []
+    for (key, q), final_q in zip(initial.charges.items(), final.charges.values()):
+        kind, ident = key
+        transfers = _block(sides[key], 3)
+        if kind == "v":
+            fields = (tags.degree[ident], final_q, ids[key], q, transfers)
+        else:
+            walk = _block([walk_ids[u] for u in tags.face_walk_vertices[ident]], 3)
+            fields = (tags.face_degree[ident], final_q, ids[key], q, transfers, walk)
+        elements.append(_ELEMENT[kind] % fields)
+    negative = [_NEGATIVE[key[0]] % (q, ids[key]) for key, q in negative_elements(final)]
+    validators = {report.name: report.to_json() for report in (v(analysis) for v in ALL_VALIDATORS)}
+    return _AUDIT % (
+        "true" if initial_total == final_total else "false",
+        _block(elements, 1),
+        final_total,
+        initial_total,
+        _block(negative, 1),
+        encode_basestring_ascii(ruleset.name),
+        dumps(validators, 1),
+    )
+
+
+def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:
+    """The audit document: `audit_json`'s text, parsed."""
+    return json.loads(audit_json(emb, ruleset))

@@ -12,7 +12,10 @@ and rule), the good 2-vertex neighbor lists as they were before they
 were built outward from each good 2-vertex, and the CNF encoder and DIMACS
 writer as they were before counter variables were numbered by arithmetic
 and clauses written through per-width templates.
-None of it shares code with the package under test.
+None of it shares code with the package under test, except the audit
+document built as nested dicts, as `build_audit` built it before the report
+was written as text: it reuses the package's analysis, discharging and
+validators, so that only the rendering differs.
 
 The last section holds helpers that only tests call, moved here unchanged
 from the package: `identify`, `deletion_preserves` with its
@@ -29,6 +32,7 @@ from itertools import permutations, product
 from typing import Iterable
 
 from defcol import CnfDocument, ColoringSpec, Graph, Vertex, delete_vertex, solve
+from defcol.discharging import ALL_VALIDATORS, _discharge, analyze, negative_elements
 from defcol.embedding import certify_faces
 
 
@@ -355,6 +359,58 @@ def dimacs_by_join(num_vars, clauses, comments):
     for clause in clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def _key_json(key):
+    kind, ident = key
+    return {"kind": "vertex" if kind == "v" else "face", "id": str(ident)}
+
+
+def build_audit_by_dicts(emb, ruleset):
+    """Full machine-readable audit: charges, transfers, conservation,
+    negative elements, and the three structural validator verdicts."""
+    analysis = analyze(emb)
+    tags = analysis.tags
+    initial, final, log = _discharge(analysis, ruleset)
+    # final is built over initial's keys, so equal totals are conservation
+    initial_total, final_total = initial.total(), final.total()
+    per_element = {}
+    for key in initial.charges:
+        kind, ident = key
+        entry = _key_json(key)
+        if kind == "v":
+            entry["degree"] = tags.degree[ident]
+        else:
+            entry["degree"] = tags.face_degree[ident]
+            entry["walk"] = [str(u) for u in tags.face_walk_vertices[ident]]
+        entry["initial"] = str(initial.charges[key])
+        entry["final"] = str(final.charges[key])
+        entry["transfers"] = []
+        per_element[key] = entry
+    for t in log:
+        amount = str(t.amount)
+        per_element[t.source]["transfers"].append(
+            {"rule": t.rule_id, "sent_to": _key_json(t.target), "amount": amount}
+        )
+        per_element[t.target]["transfers"].append(
+            {"rule": t.rule_id, "received_from": _key_json(t.source), "amount": amount}
+        )
+    return {
+        "format": "defcol-audit v1",
+        "ruleset": ruleset.name,
+        "initial_total": str(initial_total),
+        "final_total": str(final_total),
+        "conservation": initial_total == final_total,
+        "elements": list(per_element.values()),
+        "negative": [
+            {**_key_json(key), "charge": str(charge)}
+            for key, charge in negative_elements(final)
+        ],
+        "validators": {
+            report.name: report.to_json()
+            for report in (v(analysis) for v in ALL_VALIDATORS)
+        },
+    }
 
 
 # -- test-only helpers, as the package had them ------------------------------

@@ -29,10 +29,16 @@ import defcol
 import defcol.cli
 from defcol.cli import _build_parser, _dumps, main
 
-from corpus import corpus, k3_embedding
+from corpus import corpus, fused_hexagons, k3_embedding
 
 AUDIT_DIGESTS = json.loads((Path(__file__).parent / "audit_digests.json").read_text())
 CORPUS = corpus()
+# written to .emb files and audited through the CLI, which names vertices by index
+CLI_INPUTS = {
+    "non_1k_1": non_1k(1).embedding,
+    "non_1k_2": non_1k(2).embedding,
+    "fused_hexagons_3": fused_hexagons(3),
+}
 
 
 def run(capsys, *argv):
@@ -408,6 +414,27 @@ class TestReportBytes:
                          "--out", str(target))
         assert code == 0
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("name", sorted(CLI_INPUTS))
+    def test_cli_audit_and_lemmas_stdout_match_recorded_digests(self, tmp_path, capsys, name):
+        # digests of whole stdout, print's newline included, recorded from
+        # the dict-building audit and the generic writer
+        path = tmp_path / f"{name}.emb"
+        path.write_text(dump_embedding(CLI_INPUTS[name]))
+        for ruleset in sorted(RULESETS):
+            code, out, _ = run(capsys, "audit", "--embedding", str(path), "--ruleset", ruleset)
+            assert code == 0
+            assert out.endswith("}\n")
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == AUDIT_DIGESTS[f"cli/{name}/{ruleset}"]
+            target = tmp_path / f"{ruleset}.json"
+            code, _, _ = run(capsys, "audit", "--embedding", str(path), "--ruleset", ruleset,
+                             "--out", str(target))
+            assert code == 0
+            assert target.read_text() == out  # the report and one newline, as printed
+        code, out, _ = run(capsys, "check", "lemmas", "--embedding", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[f"cli/{name}/lemmas"]
 
     def test_lemmas_and_sat_solve_reports_on_non1k(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gadget", "non1k", "--k", "1", "--out", str(tmp_path / "g"))

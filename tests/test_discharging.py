@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import defcol.discharging as discharging
 import defcol.embedding as embedding
 from defcol import (
     ChargeLedger,
+    Graph,
     PlaneEmbedding,
     RULES_29,
     RULES_35,
@@ -33,6 +35,7 @@ from defcol import (
     verify_conservation,
 )
 from defcol.cli import main
+from defcol.discharging import audit_json
 
 from corpus import (
     corpus,
@@ -48,6 +51,7 @@ from corpus import (
 )
 from oracles import (
     boundary_degeneracy,
+    build_audit_by_dicts,
     discharge_by_fractions,
     good_two_neighbors_by_comprehension,
     replay_transfer_log,
@@ -484,6 +488,81 @@ class TestAudit:
     def test_rulesets_registry(self):
         assert set(RULESETS) == {"44", "35", "29"}
         assert RULESETS["44"] is RULES_44
+
+
+
+# vertex ids whose JSON needs escapes: '"', '\\', control characters and
+# non-ASCII text, or tuples, whose str() is their repr
+VERTEX_IDS = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2028", "\U0001f600",
+                     "a", "0"]),
+    min_size=1,
+    max_size=4,
+) | st.tuples(st.integers(0, 9), st.text(max_size=2))
+
+
+@st.composite
+def relabelled_embeddings(draw):
+    """A corpus fixture or a drawn rotation, its vertices renamed to drawn ids."""
+    emb = draw(st.sampled_from([e for _, e in CORPUS]) | c4c5_free_rotations())
+    g = emb.graph
+    n = g.vertex_count
+    name = dict(zip(g.vertices, draw(st.lists(VERTEX_IDS, min_size=n, max_size=n, unique=True))))
+    renamed = Graph(name.values(), [(name[u], name[v]) for u, v in g.edges()])
+    rotation = {name[v]: [name[u] for u in emb.rotation_of(v)] for v in g.vertices}
+    return PlaneEmbedding(renamed, rotation)
+
+
+def assert_audit_text_is_dict_builders(emb, ruleset):
+    """audit_json writes what json.dumps writes for the dict-built document,
+    and build_audit is that text parsed; inputs that cannot be classified
+    raise the same error on both paths."""
+    if analyze(emb).defect is not None:
+        with pytest.raises(ValueError) as text_error:
+            audit_json(emb, ruleset)
+        with pytest.raises(ValueError) as dict_error:
+            build_audit_by_dicts(emb, ruleset)
+        assert str(text_error.value) == str(dict_error.value)
+        return
+    text = audit_json(emb, ruleset)
+    assert text == json.dumps(build_audit_by_dicts(emb, ruleset), indent=2, sort_keys=True)
+    assert build_audit(emb, ruleset) == json.loads(text)
+
+
+class TestAuditTextAgainstDicts:
+    @pytest.mark.parametrize("ruleset", sorted(RULESETS))
+    @pytest.mark.parametrize("name,emb", CORPUS, ids=CORPUS_IDS)
+    def test_corpus(self, name, emb, ruleset):
+        assert_audit_text_is_dict_builders(emb, RULESETS[ruleset])
+
+    @settings(max_examples=200, deadline=None)
+    @given(emb=c4c5_free_rotations(), ruleset=rulesets())
+    def test_drawn_rotations_and_rulesets(self, emb, ruleset):
+        assert_audit_text_is_dict_builders(emb, ruleset)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        emb=relabelled_embeddings(),
+        ruleset=st.sampled_from(list(RULESETS.values())) | rulesets(),
+    )
+    def test_vertex_ids_that_need_escapes_or_are_tuples(self, emb, ruleset):
+        assert_audit_text_is_dict_builders(emb, ruleset)
+
+    @pytest.mark.parametrize("ruleset", sorted(RULESETS))
+    def test_one_vertex_with_an_empty_walk(self, ruleset):
+        emb = PlaneEmbedding(Graph([0]), {0: []})
+        assert build_audit(emb, RULESETS[ruleset])["elements"][1]["walk"] == []
+        assert_audit_text_is_dict_builders(emb, RULESETS[ruleset])
+
+    def test_no_negative_element(self, monkeypatch):
+        # charges always sum to -12, so only a patched ledger reader can
+        # leave the negative list empty
+        import oracles
+
+        for module in (discharging, oracles):
+            monkeypatch.setattr(module, "negative_elements", lambda ledger: [])
+        assert build_audit(NON_1K[1], RULES_35)["negative"] == []
+        assert_audit_text_is_dict_builders(NON_1K[1], RULES_35)
 
 
 VALIDATORS = (check_bad2_face_degrees, check_big_face_bad2_capacity, check_vertex_profiles)

@@ -36,6 +36,9 @@ REJECTED = [
         lambda: is_valid_coloring(K3, (0, 1), {0: 1, 1: 2, 2: 1, 9: 1}),
         "assignment colors unknown vertex 9",
     ),
+    (lambda: is_valid_coloring(K3, (0, 1), {0: 1.5, 1: 2, 2: 1}), "color 1.5 is not an int"),
+    (lambda: is_valid_coloring(K3, (0, 1), {0: 1.0, 1: 2, 2: 1}), "color 1.0 is not an int"),
+    (lambda: is_valid_coloring(K3, (0, 1), {0: True, 1: 2, 2: 1}), "color True is not an int"),
     (
         lambda: solve(K3, (0, 1), ConstraintSet(forbidden={9: {1}}), budget=10),
         "forbidden constraint on unknown vertex 9",
