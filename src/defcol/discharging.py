@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
 from .graphs import Graph, Vertex, is_c4c5_free
-from .report import dumps
+from .report import _SCALAR_WRITERS, block, dumps
 
 ElementKey = tuple[str, object]  # ("v", vertex id) or ("f", face index)
 
@@ -358,7 +358,7 @@ def negative_elements(ledger: ChargeLedger) -> list[tuple[ElementKey, Fraction]]
 class ValidationItem:
     element: object
     status: str
-    detail: dict
+    detail: dict  # values are str, int, bool or None
 
 
 @dataclass(frozen=True)
@@ -498,42 +498,62 @@ ALL_VALIDATORS = (
 # -- audit report ----------------------------------------------------------
 
 
-def _block(members: list[str], depth: int, brackets: str = "[]") -> str:
-    """Members already in JSON form, one per line, in a list or object that
-    json.dumps(indent=2) writes at depth."""
-    if not members:
-        return brackets
-    indent = "\n" + "  " * depth
-    return brackets[0] + indent + "  " + ("," + indent + "  ").join(members) + indent + brackets[1]
-
-
 # % templates of the audit's v1 text, by element kind where it shows, with
 # members in sort_keys order. Ids, rule ids and the ruleset name fill their
 # slots encoded; charges and amounts are str(Fraction), which needs no
 # escaping.
 _KIND = {"v": '"kind": "vertex"', "f": '"kind": "face"'}
 _ELEMENT = {
-    k: _block(['"degree": %d', '"final": "%s"', '"id": %s', '"initial": "%s"', kind,
-               '"transfers": %s', *(['"walk": %s'] if k == "f" else [])], 2, "{}")
+    k: block(['"degree": %d', '"final": "%s"', '"id": %s', '"initial": "%s"', kind,
+              '"transfers": %s', *(['"walk": %s'] if k == "f" else [])], 2, "{}")
     for k, kind in _KIND.items()
 }
 # a transfer side at its source or target, by the kind of the other end
-_END = {k: _block(['"id": %s', kind], 5, "{}") for k, kind in _KIND.items()}
-_SENT_TO = {k: _block(['"amount": "%s"', '"rule": %s', '"sent_to": ' + end], 4, "{}")
+_END = {k: block(['"id": %s', kind], 5, "{}") for k, kind in _KIND.items()}
+_SENT_TO = {k: block(['"amount": "%s"', '"rule": %s', '"sent_to": ' + end], 4, "{}")
             for k, end in _END.items()}
-_RECEIVED_FROM = {k: _block(['"amount": "%s"', '"received_from": ' + end, '"rule": %s'], 4, "{}")
+_RECEIVED_FROM = {k: block(['"amount": "%s"', '"received_from": ' + end, '"rule": %s'], 4, "{}")
                   for k, end in _END.items()}
-_NEGATIVE = {k: _block(['"charge": "%s"', '"id": %s', kind], 2, "{}") for k, kind in _KIND.items()}
-_AUDIT = _block(['"conservation": %s', '"elements": %s', '"final_total": "%s"',
-                 '"format": "defcol-audit v1"', '"initial_total": "%s"', '"negative": %s',
-                 '"ruleset": %s', '"validators": %s'], 0, "{}")
+_NEGATIVE = {k: block(['"charge": "%s"', '"id": %s', kind], 2, "{}") for k, kind in _KIND.items()}
+_AUDIT = block(['"conservation": %s', '"elements": %s', '"final_total": "%s"',
+                '"format": "defcol-audit v1"', '"initial_total": "%s"', '"negative": %s',
+                '"ruleset": %s', '"validators": %s'], 0, "{}")
+# The validators section, which the audit and `check lemmas` both write at
+# depth 1: one template per report, and one per item shape, built on first
+# use from to_json's keys, so to_json stays the items' one definition.
+_REPORT = block(['"items": %s', '"name": %s', '"reason": %s', '"status": %s'], 2, "{}")
+_ITEMS: dict[tuple[str, ...], tuple[str, list[str]]] = {}
+_LEMMAS = block(['"format": "defcol-check v1"', '"kind": "lemmas"', '"reports": %s'], 0, "{}")
+
+
+def _validators_json(analysis: EmbeddingAnalysis) -> str:
+    """Every validator's report on `analysis`, by name, as v1 text at depth 1."""
+    reports = {r.name: r.to_json() for r in (v(analysis) for v in ALL_VALIDATORS)}
+    members = []
+    for name in sorted(reports):
+        doc = reports[name]
+        items = []
+        for item in doc["items"]:
+            entry = _ITEMS.get(tuple(item))
+            if entry is None:
+                keys = sorted(item)
+                template = block([encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                                  for k in keys], 4, "{}")
+                entry = _ITEMS[tuple(item)] = template, keys
+            template, keys = entry
+            values = map(item.__getitem__, keys)
+            items.append(template % tuple([_SCALAR_WRITERS[type(v)](v) for v in values]))
+        report = _REPORT % (block(items, 3), dumps(doc["name"]), dumps(doc["reason"]),
+                            dumps(doc["status"]))
+        members.append(encode_basestring_ascii(name) + ": " + report)
+    return block(members, 1, "{}")
 
 
 def audit_json(source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRuleSet) -> str:
     """Full machine-readable audit as v1 text: charges, transfers,
     conservation, negative elements, and the three structural validator
-    verdicts. The ledgers and the transfer log fill the templates directly;
-    only the validators go through the generic writer."""
+    verdicts. The ledgers, the transfer log and the validator reports fill
+    the templates directly."""
     analysis = analyze(source)
     tags = analysis.tags
     initial, final, log = _discharge(analysis, ruleset)
@@ -554,24 +574,29 @@ def audit_json(source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRul
     elements = []
     for (key, q), final_q in zip(initial.charges.items(), final.charges.values()):
         kind, ident = key
-        transfers = _block(sides[key], 3)
+        transfers = block(sides[key], 3)
         if kind == "v":
             fields = (tags.degree[ident], final_q, ids[key], q, transfers)
         else:
-            walk = _block([walk_ids[u] for u in tags.face_walk_vertices[ident]], 3)
+            walk = block([walk_ids[u] for u in tags.face_walk_vertices[ident]], 3)
             fields = (tags.face_degree[ident], final_q, ids[key], q, transfers, walk)
         elements.append(_ELEMENT[kind] % fields)
     negative = [_NEGATIVE[key[0]] % (q, ids[key]) for key, q in negative_elements(final)]
-    validators = {report.name: report.to_json() for report in (v(analysis) for v in ALL_VALIDATORS)}
     return _AUDIT % (
         "true" if initial_total == final_total else "false",
-        _block(elements, 1),
+        block(elements, 1),
         final_total,
         initial_total,
-        _block(negative, 1),
+        block(negative, 1),
         encode_basestring_ascii(ruleset.name),
-        dumps(validators, 1),
+        _validators_json(analysis),
     )
+
+
+def lemmas_json(source: PlaneEmbedding | EmbeddingAnalysis) -> str:
+    """The `check lemmas` report as v1 text: the audit's validators section
+    under `reports`."""
+    return _LEMMAS % _validators_json(analyze(source))
 
 
 def build_audit(emb: PlaneEmbedding, ruleset: DischargeRuleSet) -> dict:

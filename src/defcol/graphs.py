@@ -167,31 +167,26 @@ def _iter_cycles(g: Graph, length: int) -> Iterator[tuple[Vertex, ...]]:
     # Anchor each cycle at its lowest-index vertex; interior vertices must
     # rank above the anchor, and the second-vs-last index comparison drops
     # the reflected traversal, so each cycle appears exactly once.
-    idx = g.index_of
-    path: list[Vertex] = []
-    on_path: set[Vertex] = set()
-
-    def extend():
-        last = path[-1]
-        if len(path) == length:
-            if g.has_edge(last, path[0]) and idx(path[1]) < idx(last):
-                yield tuple(path)
-            return
-        anchor = idx(path[0])
-        for w in g.ordered_neighbors(last):
-            if idx(w) > anchor and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from extend()
-                path.pop()
-                on_path.discard(w)
-
     for s in g.vertices:
-        path.append(s)
-        on_path.add(s)
-        yield from extend()
-        path.pop()
-        on_path.discard(s)
+        yield from _extend_path(g, length, [s], {s})
+
+
+def _extend_path(g: Graph, length: int, path: list[Vertex], on_path: set[Vertex]):
+    # a module-level recursion, not a closure, so no reference cycle outlives it
+    idx = g.index_of
+    last = path[-1]
+    if len(path) == length:
+        if g.has_edge(last, path[0]) and idx(path[1]) < idx(last):
+            yield tuple(path)
+        return
+    anchor = idx(path[0])
+    for w in g.ordered_neighbors(last):
+        if idx(w) > anchor and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            yield from _extend_path(g, length, path, on_path)
+            path.pop()
+            on_path.discard(w)
 
 
 def cycles_of_length(g: Graph, length: int) -> list[tuple[Vertex, ...]]:

@@ -14,8 +14,10 @@ writer as they were before counter variables were numbered by arithmetic
 and clauses written through per-width templates.
 None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
-was written as text: it reuses the package's analysis, discharging and
-validators, so that only the rendering differs.
+was written as text, and the `check lemmas` report as the CLI wrote it
+before the validators section was written through templates: they reuse
+the package's analysis, discharging and validators, so that only the
+rendering differs.
 
 The last section holds helpers that only tests call, moved here unchanged
 from the package: `identify`, `deletion_preserves` with its
@@ -25,6 +27,7 @@ the package's `solve`.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -411,6 +414,21 @@ def build_audit_by_dicts(emb, ruleset):
             for report in (v(analysis) for v in ALL_VALIDATORS)
         },
     }
+
+
+def lemmas_by_dicts(emb):
+    """The `check lemmas` report as the CLI wrote it before `lemmas_json`:
+    the document built as dicts, through json.dumps."""
+    analysis = analyze(emb)
+    return json.dumps(
+        {
+            "format": "defcol-check v1",
+            "kind": "lemmas",
+            "reports": {r.name: r.to_json() for r in (v(analysis) for v in ALL_VALIDATORS)},
+        },
+        indent=2,
+        sort_keys=True,
+    )
 
 
 # -- test-only helpers, as the package had them ------------------------------

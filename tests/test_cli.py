@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict
 from enum import IntEnum
 from fractions import Fraction
@@ -339,6 +340,23 @@ class TestCheckCommands:
             "cycles5": len(cycles_of_length(g, 5)),
         }
 
+    def test_c4c5_counts_in_flat_memory(self, tmp_path, capsys):
+        # K16 has 5,460 4-cycles and 52,416 5-cycles; listing them all
+        # peaked at 5.1 MB
+        g = make_graph(16, [(i, j) for i in range(16) for j in range(i + 1, 16)])
+        path = tmp_path / "k16.graph"
+        path.write_text(dump_graph(g))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "check", "c4c5", "--graph", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["cycles4"], doc["cycles5"]) == (5460, 52416)
+        assert peak < 1_000_000
+
     def test_lemmas_requires_embedding(self, tmp_path, capsys):
         code, _, err = run(capsys, "check", "lemmas", "--graph", c5_file(tmp_path))
         assert code == 2
@@ -506,6 +524,21 @@ class TestReportWriter:
     @given(trees(8))
     def test_matches_stdlib_indent_sort_keys(self, tree):
         assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+    @settings(max_examples=50, deadline=None)  # each example runs two full collections
+    @given(trees(8))
+    def test_leaves_no_reference_cycles(self, tree):
+        # main pauses the collector, so what a report leaves must be freed
+        # by reference counting alone
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            _dumps(tree)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_deep_nesting(self):
         tree = {"leaf": "x", "empty": [{}, [], ()]}
@@ -686,10 +719,12 @@ def collector():
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """The huv widget's graph and non_1k(2)'s graph and embedding."""
+    """The huv widget's graph, non_1k(2)'s graph and embedding, and the wheel W5."""
     root = tmp_path_factory.mktemp("pause")
     huv = root / "huv.graph"
     huv.write_text(dump_graph(triangle_link().graph))
+    wheel = make_graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
+    (root / "w5.graph").write_text(dump_graph(wheel))
     gadget = non_1k(2)
     (root / "n2.graph").write_text(dump_graph(gadget.graph))
     (root / "n2.emb").write_text(dump_embedding(gadget.embedding))
@@ -743,13 +778,14 @@ class TestCollectorPause:
             (["reduce", "--graph", "@n2.graph", "--k", "2", "--out", "@r"], 0),
             (["check", "girth", "--graph", "@n2.graph"], 0),
             (["check", "c4c5", "--graph", "@n2.graph"], 0),
+            (["check", "c4c5", "--graph", "@w5.graph"], 0),
             (["check", "lemmas", "--embedding", "@n2.emb"], 0),
             (["audit", "--embedding", "@n2.emb", "--ruleset", "35"], 0),
             (["audit", "--embedding", "@n2.emb", "--ruleset", "29", "--out", "@a.json"], 0),
         ],
         ids=["solve_sat", "solve_unsat", "solve_budget", "solve_emit_cnf", "oracle",
-             "gadget", "reduce", "check_girth", "check_c4c5", "check_lemmas",
-             "audit_stdout", "audit_out"],
+             "gadget", "reduce", "check_girth", "check_c4c5", "check_c4c5_cycles",
+             "check_lemmas", "audit_stdout", "audit_out"],
     )
     def test_leaves_no_cyclic_garbage(self, inputs, capsys, collector, argv, code):
         _build_parser()  # the parser lives for the whole process

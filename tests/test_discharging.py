@@ -35,7 +35,7 @@ from defcol import (
     verify_conservation,
 )
 from defcol.cli import main
-from defcol.discharging import audit_json
+from defcol.discharging import audit_json, lemmas_json
 
 from corpus import (
     corpus,
@@ -54,9 +54,10 @@ from oracles import (
     build_audit_by_dicts,
     discharge_by_fractions,
     good_two_neighbors_by_comprehension,
+    lemmas_by_dicts,
     replay_transfer_log,
 )
-from strategies import c4c5_free_rotations, rulesets
+from strategies import c4c5_free_rotations, connected_rotations, rulesets
 
 CORPUS = corpus()
 CORPUS_IDS = [n for n, _ in CORPUS]
@@ -581,6 +582,37 @@ def k5_rotation():
     # every rotation of K5 is nonplanar; K5 also has 4- and 5-cycles
     g = make_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     return PlaneEmbedding(g, {v: list(g.ordered_neighbors(v)) for v in g.vertices})
+
+
+class TestLemmasTextAgainstDicts:
+    """lemmas_json writes what json.dumps writes for the dict-built report."""
+
+    @pytest.mark.parametrize("name,emb", CORPUS, ids=CORPUS_IDS)
+    def test_corpus(self, name, emb):
+        assert lemmas_json(emb) == lemmas_by_dicts(emb)
+
+    # about half of these rotations are not genus 0
+    @settings(max_examples=200, deadline=None)
+    @given(connected_rotations())
+    def test_drawn_rotations(self, emb):
+        assert lemmas_json(emb) == lemmas_by_dicts(emb)
+
+    @pytest.mark.parametrize(
+        "emb", [disconnected_with_4_cycle(), cycle_embedding(4)], ids=["disconnected", "four_cycle"]
+    )
+    def test_reports_with_a_reason_and_no_items(self, emb):
+        reports = json.loads(lemmas_json(emb))["reports"].values()
+        assert all(r["reason"] and r["items"] == [] for r in reports)
+        assert lemmas_json(emb) == lemmas_by_dicts(emb)
+
+    def test_reads_the_validators_when_called(self, monkeypatch):
+        # the benchmark's tracer swaps in wrapped validators; reports sort by name
+        two = discharging.ALL_VALIDATORS[1::-1]
+        monkeypatch.setattr(discharging, "ALL_VALIDATORS", two)
+        text = lemmas_json(NON_1K[1])
+        reports = json.loads(text)["reports"]
+        assert list(reports) == ["bad2_face_degrees", "big_face_bad2_capacity"]
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
 class TestSharedAnalysis:
