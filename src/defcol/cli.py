@@ -244,9 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="defcol")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_input_flags(p):
+        source = p.add_mutually_exclusive_group()  # both given: exit 2 with usage
+        source.add_argument("--graph")
+        source.add_argument("--embedding")
+
     def add_solve_flags(p, with_budget):
-        p.add_argument("--graph")
-        p.add_argument("--embedding")
+        add_input_flags(p)
         p.add_argument("--spec", required=True, help="defect bounds, e.g. 1,1")
         p.add_argument("--force", action="append", metavar="V=C")
         p.add_argument("--forbid", action="append", metavar="V=C")
@@ -276,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="structural checks")
     p_check.add_argument("kind", choices=["girth", "c4c5", "lemmas"])
-    p_check.add_argument("--graph")
-    p_check.add_argument("--embedding")
+    add_input_flags(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_audit = sub.add_parser("audit", help="charge-accounting audit")

@@ -200,8 +200,9 @@ def solve(
     of slack on its binding attachments under which an exhaustive
     sub-search confined to the piece succeeds, each with its witness
     coloring. A piece with no binding attachment has one budget, the empty
-    one. Profiles are cached by the piece's complete local instance
-    (allowed colors, adjacency, attachment colors and slack), so
+    one. Profiles are cached by the piece's complete local instance: its
+    shape (adjacency numbered by position, interned once per tuple of
+    vertices), its allowed colors and its attachments' colors and slack, so
     interchangeable copies are searched once. A piece that needs none of the
     contested slack is placed at once. A knapsack over the attachments'
     slack folds the other profiles, a run of identical copies at a time,
@@ -211,14 +212,17 @@ def solve(
     A closed piece is never larger than the piece that continues, so
     sub-searches nest at most log2(n) deep.
 
-    `budget` caps the number of decisions, summed over the main line and
-    every sub-search; a cached profile costs none, and choosing among two
-    or more reservations counts as a decision. Exceeding the budget
-    anywhere yields a distinct outcome, never a fabricated Unsat.
+    `budget`, an int of at least 1, caps the number of decisions, summed
+    over the main line and every sub-search; a cached profile costs none,
+    and choosing among two or more reservations counts as a decision.
+    Exceeding the budget anywhere yields a distinct outcome, never a
+    fabricated Unsat.
     """
     spec = as_spec(spec)
     cons = constraints or ConstraintSet()
     _validate_constraints(g, spec, cons)
+    if type(budget) is not int:
+        raise ValueError(f"budget {budget!r} is not an int")
     if budget <= 0:
         raise ValueError("budget must be positive")
 
@@ -257,6 +261,8 @@ def solve(
     stamp = [0] * n  # split(): the epoch that last reached a vertex
     reached_by = [0] * n  # split(): the search that reached it
     cache: dict[tuple, list] = {}
+    shapes: dict[tuple[int, ...], int] = {}  # profile(): a piece's vertices -> its shape id
+    shape_ids: dict[tuple, int] = {}  # profile(): a piece's adjacency -> its shape id
     nodes = closed = hits = misses = nesting = scopes = epoch = visits = scans = sums = 0
     # Colored-neighbor counts raised since the current decision began: with
     # fewer than two, nothing can have fallen apart and split() is skipped.
@@ -336,12 +342,12 @@ def solve(
         return True
 
     def undo(mark: int) -> None:
-        while len(trail) > mark:
-            array, i, old = trail.pop()
+        for array, i, old in reversed(trail[mark:]):
             if array is lost:
                 lost.pop()
             else:
                 array[i] = old
+        del trail[mark:]
 
     def split(sid: int, mark: int) -> list[list[int]]:
         """The pieces, other than the largest, that the uncolored vertices
@@ -524,14 +530,22 @@ def solve(
         under which it has a coloring, each with that coloring. A piece
         whose profile is computed moves to a scope of its own."""
         nonlocal hits, misses
-        pos = {y: -1 - j for j, y in enumerate(atts)}
-        pos.update((x, i) for i, x in enumerate(piece))
-        tied = set(binding)
+        # A piece is a whole uncolored component, so its attachments are
+        # exactly N(piece) - piece: the vertex tuple fixes them, their order
+        # in atts and the piece's adjacency over both, numbered by position.
+        verts = tuple(piece)
+        shape = shapes.get(verts)
+        if shape is None:
+            pos = {y: -1 - j for j, y in enumerate(atts)}
+            pos.update((x, i) for i, x in enumerate(piece))
+            adjacency = tuple([tuple([pos[y] for y in adj[x]]) for x in piece])
+            shape = shapes[verts] = shape_ids.setdefault(adjacency, len(shape_ids))
+        tied = set(binding) if binding else ()
         # Equal keys mean equal local instances under the positional map,
         # and a binding budget never exceeds the piece's own demand.
         key = (
-            tuple([allowed[x] for x in piece]),
-            tuple([tuple([pos[y] for y in adj[x]]) for x in piece]),
+            shape,
+            tuple(map(allowed.__getitem__, piece)),
             tuple([(color[y], -1 if y in tied else min(slack[y], d)) for y, d in atts.items()]),
         )
         entries = cache.get(key)

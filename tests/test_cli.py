@@ -220,6 +220,25 @@ class TestInputErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"defcol: error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--spec", "1,1"], ["oracle", "--spec", "1,1"], ["check", "girth"], ["check", "c4c5"]],
+        ids=["solve", "oracle", "check_girth", "check_c4c5"],
+    )
+    def test_graph_and_embedding_together_is_a_usage_error(self, tmp_path, capsys, command):
+        # --embedding was silently ignored: a 5-cycle given with a
+        # triangle's embedding was solved as the 5-cycle.
+        emb = tmp_path / "k3.emb"
+        emb.write_text(dump_embedding(k3_embedding()))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--graph", c5_file(tmp_path), "--embedding", str(emb)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: defcol {command[0]}")
+        assert captured.err.endswith(
+            "error: argument --embedding: not allowed with argument --graph\n")
+
     def test_embedding_input_solves_like_its_graph(self, tmp_path, capsys):
         code, _, _ = run(capsys, "gadget", "huv", "--out", str(tmp_path / "huv"))
         assert code == 0

@@ -258,6 +258,26 @@ class TestDeletionPreserves:
 
 
 WITNESSES = json.loads((Path(__file__).parent / "solver_witnesses.json").read_text())
+STATS = json.loads((Path(__file__).parent / "solver_stats.json").read_text())
+
+
+def _forced_hub(k):
+    hub = hub_gadget(k)
+    return hub.graph, (1, k), ConstraintSet(forced={hub.terminals["z"]: 2, hub.terminals["x1"]: 2})
+
+
+# name -> the (graph, spec, constraints) whose outcome solver_stats.json pins
+STATS_CASES = {
+    **{f"non1k_k{k}_1_{k}": lambda k=k: (non_1k(k).graph, (1, k), None)
+       for k in (1, 2, 3, 4, 5, 6, 12, 24, 48)},
+    **{f"non1k_k{k}_1_{k + 1}": lambda k=k: (non_1k(k).graph, (1, k + 1), None)
+       for k in range(1, 7)},
+    **{f"non1k_k6_{a}_{b}": lambda s=(a, b): (non_1k(6).graph, s, None)
+       for a, b in ((4, 4), (3, 5), (2, 9))},
+    **{f"np_reduce_k1_{k}_0_{k}": lambda k=k: (np_reduce(non_1k(1).graph, k).graph, (0, k), None)
+       for k in (2, 3)},
+    **{f"hub_k{k}_1_{k}": lambda k=k: _forced_hub(k) for k in range(1, 6)},
+}
 
 
 def path_graph(n):
@@ -270,9 +290,7 @@ class TestSearchPins:
 
     @pytest.mark.parametrize("k, nodes", [(1, 0), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0)])
     def test_hub_lemma_node_counts(self, k, nodes):
-        hub = hub_gadget(k)
-        cons = ConstraintSet(forced={hub.terminals["z"]: 2, hub.terminals["x1"]: 2})
-        out = solve(hub.graph, (1, k), cons, budget=10**6)
+        out = solve(*_forced_hub(k), budget=10**6)
         assert out.is_unsat
         assert out.nodes == nodes
         # The 2k+1 copies between z and x1 close off at the root and share
@@ -296,6 +314,15 @@ class TestSearchPins:
         assert is_valid_coloring(g, (1, k + 1), out.coloring)
         assert out.nodes == pin["nodes"]
         assert "".join(str(out.coloring[v]) for v in g.vertices) == pin["coloring"]
+
+    @pytest.mark.parametrize("name", sorted(STATS_CASES))
+    def test_every_stat_is_pinned(self, name):
+        # cache_hits and cache_misses show that the profile cache splits
+        # pieces into the same local instances as when the pins were taken.
+        g, spec, cons = STATS_CASES[name]()
+        out = solve(g, spec, cons, budget=10**6)
+        pin = STATS[name]
+        assert (out.status, out.nodes, dict(out.stats)) == (pin["status"], pin["nodes"], pin["stats"])
 
     def test_deep_search_has_no_recursion_limit(self):
         g = path_graph(100_000)

@@ -47,6 +47,12 @@ REJECTED = [
         lambda: solve(K3, (0, 1), ConstraintSet(forbidden={0: {3}}), budget=10),
         "forbidden color 3 out of range 1..2",
     ),
+    # A float budget stopped after one decision, NaN never stopped, and True
+    # counted as 1.
+    (lambda: solve(K3, (0, 1), budget=0.5), "budget 0.5 is not an int"),
+    (lambda: solve(K3, (0, 1), budget=float("nan")), "budget nan is not an int"),
+    (lambda: solve(K3, (0, 1), budget=True), "budget True is not an int"),
+    (lambda: solve(K3, (0, 1), budget="5"), "budget '5' is not an int"),
     (lambda: ColoringSpec((1.9, 1)), "defect 1.9 is not an int"),
     (lambda: ColoringSpec(("2", "0")), "defect '2' is not an int"),
     (lambda: solve(K3, (True, 1), budget=10), "defect True is not an int"),
