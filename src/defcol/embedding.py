@@ -16,7 +16,8 @@ from .graphs import (
     Vertex,
     _content_lines,
     _edgelist_lines,
-    _int_token,
+    _int_error,
+    _int_reader,
     is_connected,
     parse_graph_lines,
 )
@@ -184,7 +185,8 @@ def dump_embedding(emb: PlaneEmbedding) -> str:
 
 
 def load_embedding(text: str) -> PlaneEmbedding:
-    g, leftover = parse_graph_lines(_content_lines(text))
+    to_int = _int_reader(text)
+    g, leftover = parse_graph_lines(_content_lines(text), to_int)
     rotation: dict[Vertex, list[Vertex]] = {}
     for line in leftover:
         parts = line.split()
@@ -192,10 +194,16 @@ def load_embedding(text: str) -> PlaneEmbedding:
             raise ValueError(f"unexpected line {line!r} in embedding document")
         if len(parts) < 2 or not parts[1].endswith(":"):
             raise ValueError(f"malformed rotation line {line!r}")
-        v = _int_token(parts[1][:-1])
+        try:
+            v = to_int(parts[1][:-1])
+        except ValueError:
+            raise _int_error([parts[1][:-1]]) from None
         if v in rotation:
             raise ValueError(f"second rotation line for vertex {v}")
-        rotation[v] = [_int_token(tok) for tok in parts[2:]]
+        try:
+            rotation[v] = list(map(to_int, parts[2:]))
+        except ValueError:
+            raise _int_error(parts[2:]) from None
     missing = [v for v in g.vertices if v not in rotation]
     if missing:
         raise ValueError(f"no rotation record for vertex {missing[0]}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Vertex = Hashable
 
@@ -43,12 +43,14 @@ class Graph:
             dup = next(v for i, v in enumerate(order) if index[v] != i)
             raise ValueError(f"duplicate vertex {dup!r}")
         around: list[set[int]] = [set() for _ in order]
+        get = index.get
         for u, v in edges:
-            if u not in index:
+            i = get(u)
+            if i is None:
                 raise ValueError(f"edge endpoint {u!r} is not a vertex")
-            if v not in index:
+            j = get(v)
+            if j is None:
                 raise ValueError(f"edge endpoint {v!r} is not a vertex")
-            i, j = index[u], index[v]
             if i == j:
                 raise ValueError(f"self-loop at {u!r}")
             around[i].add(j)
@@ -324,12 +326,7 @@ def dump_graph(g: Graph) -> str:
 
 
 def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
+    return [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
 
 
 def _int_token(token: str) -> int:
@@ -344,14 +341,50 @@ def _int_token(token: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {token!r}")
 
 
-def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
-    """Parse the edge-list section; returns the graph and leftover lines."""
+IntReader = Callable[[str], int]
+
+
+def _int_reader(text: str) -> IntReader:
+    """The reader for the integer fields of a text document: bare `int`
+    where it reads exactly as `_int_token`, else `_int_token`.
+
+    A field is a token of `str.split`, so it holds no whitespace. On such a
+    token `int()` goes beyond ASCII `-?[0-9]+` only through `+`, `_` and
+    non-ASCII digits, so in an ASCII document free of `+` and `_` both accept
+    the same tokens with the same values, at a fraction of the cost. Their
+    messages differ only for a long bad token: `int()` cuts its repr at 200
+    characters, so callers take the message from `_int_error`.
+    """
+    if text.isascii() and "+" not in text and "_" not in text:
+        return int
+    return _int_token
+
+
+def _int_error(tokens: list[str]) -> ValueError:
+    """The error that `_int_token` raises for the first of tokens it rejects,
+    where an `_int_reader` has failed on one of them."""
+    for token in tokens:
+        try:
+            _int_token(token)
+        except ValueError as exc:
+            return exc
+    raise AssertionError(f"no token of {tokens!r} is rejected")
+
+
+def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[str]]:
+    """Parse the edge-list section; returns the graph and leftover lines.
+
+    Integer fields are read with to_int, the `_int_reader` of the document.
+    """
     if not lines:
         raise ValueError("empty graph document")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = _int_token(head[0]), _int_token(head[1])
+    try:
+        n, m = to_int(head[0]), to_int(head[1])
+    except ValueError:
+        raise _int_error(head) from None
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if n < 0:
@@ -359,11 +392,16 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
     if not 0 <= m <= MAX_EDGES:
         raise ValueError(f"edge count {m} outside 0..{MAX_EDGES}")
     pairs = []
-    for line in lines[1 : 1 + m]:
+    append = pairs.append
+    try:
+        for line in lines[1 : 1 + m]:
+            u, v = line.split()
+            append((to_int(u), to_int(v)))
+    except ValueError:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"malformed edge line {line!r}")
-        pairs.append((_int_token(parts[0]), _int_token(parts[1])))
+            raise ValueError(f"malformed edge line {line!r}") from None
+        raise _int_error(parts) from None
     if len(pairs) != m:
         raise ValueError(f"expected {m} edge lines, found {len(pairs)}")
     rest = lines[1 + m :]
@@ -374,7 +412,10 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
         if parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
-            v = _int_token(parts[1])
+            try:
+                v = to_int(parts[1])
+            except ValueError:
+                raise _int_error(parts[1:2]) from None
             if v in labels:
                 raise ValueError(f"second label line for vertex {v}")
             labels[v] = parts[2]
@@ -387,7 +428,7 @@ def parse_graph_lines(lines: list[str]) -> tuple[Graph, list[str]]:
 
 
 def load_graph(text: str) -> Graph:
-    g, leftover = parse_graph_lines(_content_lines(text))
+    g, leftover = parse_graph_lines(_content_lines(text), _int_reader(text))
     ignorable = all(line.split()[0] == "rot" for line in leftover)
     if leftover and not ignorable:
         raise ValueError(f"unexpected trailing line {leftover[0]!r}")

@@ -11,13 +11,15 @@ as it was before it summed on integers (one Fraction product per element
 and rule), the good 2-vertex neighbor lists as they were before they
 were built outward from each good 2-vertex, and the CNF encoder and DIMACS
 writer as they were before counter variables were numbered by arithmetic
-and clauses written through per-width templates.
+and clauses written through per-width templates, and the `.graph`/`.emb`
+loaders as they were before they read integer fields with bare `int()`.
 None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
 was written as text, and the `check lemmas` report as the CLI wrote it
 before the validators section was written through templates: they reuse
 the package's analysis, discharging and validators, so that only the
-rendering differs.
+rendering differs. The old loaders build the package's `Graph` and
+`PlaneEmbedding`, so that only the reading of the text differs.
 
 The last section holds helpers that only tests call, moved here unchanged
 from the package: `identify`, `deletion_preserves` with its
@@ -34,9 +36,18 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable
 
-from defcol import CnfDocument, ColoringSpec, Graph, Vertex, delete_vertex, solve
+from defcol import (
+    CnfDocument,
+    ColoringSpec,
+    Graph,
+    PlaneEmbedding,
+    Vertex,
+    delete_vertex,
+    solve,
+)
 from defcol.discharging import ALL_VALIDATORS, _discharge, analyze, negative_elements
 from defcol.embedding import certify_faces
+from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
 
 def canonical_cycle(g, seq):
@@ -429,6 +440,94 @@ def lemmas_by_dicts(emb):
         indent=2,
         sort_keys=True,
     )
+
+
+# -- the text loaders, as they were before integer fields were read with int()
+
+
+def _content_lines_by_loop(text: str) -> list[str]:
+    out = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            out.append(line)
+    return out
+
+
+def _int_token_by_check(token: str) -> int:
+    """Parse one integer field of the text formats: ASCII `-?[0-9]+` only."""
+    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
+        return int(token)
+    raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+
+
+def parse_graph_lines_by_tokens(lines: list[str]) -> tuple[Graph, list[str]]:
+    """Parse the edge-list section; returns the graph and leftover lines."""
+    if not lines:
+        raise ValueError("empty graph document")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
+    n, m = _int_token_by_check(head[0]), _int_token_by_check(head[1])
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if not 0 <= m <= MAX_EDGES:
+        raise ValueError(f"edge count {m} outside 0..{MAX_EDGES}")
+    pairs = []
+    for line in lines[1 : 1 + m]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"malformed edge line {line!r}")
+        pairs.append((_int_token_by_check(parts[0]), _int_token_by_check(parts[1])))
+    if len(pairs) != m:
+        raise ValueError(f"expected {m} edge lines, found {len(pairs)}")
+    rest = lines[1 + m :]
+    labels: dict[int, str] = {}
+    leftover = []
+    for line in rest:
+        parts = line.split()
+        if parts[0] == "label":
+            if len(parts) != 3:
+                raise ValueError(f"malformed label line {line!r}")
+            v = _int_token_by_check(parts[1])
+            if v in labels:
+                raise ValueError(f"second label line for vertex {v}")
+            labels[v] = parts[2]
+        else:
+            leftover.append(line)
+    g = Graph(range(n), pairs, labels)
+    if g.edge_count != m:
+        raise ValueError(f"{m} edge lines name only {g.edge_count} distinct edges")
+    return g, leftover
+
+
+def load_graph_by_tokens(text: str) -> Graph:
+    g, leftover = parse_graph_lines_by_tokens(_content_lines_by_loop(text))
+    ignorable = all(line.split()[0] == "rot" for line in leftover)
+    if leftover and not ignorable:
+        raise ValueError(f"unexpected trailing line {leftover[0]!r}")
+    return g
+
+
+def load_embedding_by_tokens(text: str) -> PlaneEmbedding:
+    g, leftover = parse_graph_lines_by_tokens(_content_lines_by_loop(text))
+    rotation: dict[Vertex, list[Vertex]] = {}
+    for line in leftover:
+        parts = line.split()
+        if parts[0] != "rot":
+            raise ValueError(f"unexpected line {line!r} in embedding document")
+        if len(parts) < 2 or not parts[1].endswith(":"):
+            raise ValueError(f"malformed rotation line {line!r}")
+        v = _int_token_by_check(parts[1][:-1])
+        if v in rotation:
+            raise ValueError(f"second rotation line for vertex {v}")
+        rotation[v] = [_int_token_by_check(tok) for tok in parts[2:]]
+    missing = [v for v in g.vertices if v not in rotation]
+    if missing:
+        raise ValueError(f"no rotation record for vertex {missing[0]}")
+    return PlaneEmbedding(g, rotation)
 
 
 # -- test-only helpers, as the package had them ------------------------------

@@ -13,6 +13,7 @@ from defcol import (
     embedding_from_positions,
     export_cnf,
     is_valid_coloring,
+    load_embedding,
     load_graph,
     make_graph,
     solve,
@@ -89,6 +90,43 @@ REJECTED = [
     (lambda: make_graph(-1, []), "vertex count must be non-negative"),
     (lambda: identify(K3, 9, 0), "vertex 9 not in graph"),
     (lambda: load_graph(EMPTY_DOCUMENT), "empty graph document"),
+    # the structural checks of the Graph and PlaneEmbedding constructors,
+    # directly and through the loaders that build them
+    (lambda: Graph([0, 1, 0]), "duplicate vertex 0"),
+    (lambda: Graph([0, 1], [(5, 1)]), "edge endpoint 5 is not a vertex"),
+    (lambda: Graph([0, 1], [(0, 7)]), "edge endpoint 7 is not a vertex"),
+    (lambda: Graph([0, 1], [(5, 7)]), "edge endpoint 5 is not a vertex"),
+    (lambda: Graph([0, 1], [(1, 1)]), "self-loop at 1"),
+    (lambda: Graph([0, 1], [], {0: "a", 1: "a"}), "vertex labels must be unique"),
+    (lambda: load_graph("2 1\n0 5\n"), "edge endpoint 5 is not a vertex"),
+    (lambda: load_graph("2 1\n1 1\n"), "self-loop at 1"),
+    (lambda: load_graph("2 0\nlabel 0 a\nlabel 1 a\n"), "vertex labels must be unique"),
+    (lambda: load_graph("2 1\n0 1 2\n"), "malformed edge line '0 1 2'"),
+    (lambda: load_graph("3 2\n0 1\n"), "expected 2 edge lines, found 1"),
+    (lambda: load_graph("2 2\n0 1\n1 0\n"), "2 edge lines name only 1 distinct edges"),
+    (lambda: load_graph("2 0\nlabel 0\n"), "malformed label line 'label 0'"),
+    (lambda: load_graph("2 0\nlabel 0 a\nlabel 0 b\n"), "second label line for vertex 0"),
+    (lambda: load_graph("2 0\nfoo 1\n"), "unexpected trailing line 'foo 1'"),
+    (lambda: load_embedding("1 0\nfoo\n"), "unexpected line 'foo' in embedding document"),
+    (lambda: load_embedding("1 0\nrot 0\n"), "malformed rotation line 'rot 0'"),
+    (lambda: load_embedding("1 0\nrot 0:\nrot 0:\n"), "second rotation line for vertex 0"),
+    (lambda: load_embedding("2 1\n0 1\nrot 0: 1\n"), "no rotation record for vertex 1"),
+    (
+        lambda: load_embedding("1 0\nrot 0:\nrot 5:\n"),
+        "rotation must list every vertex exactly once",
+    ),
+    (
+        lambda: PlaneEmbedding(K3, {0: [1, 2]}),
+        "rotation must list every vertex exactly once",
+    ),
+    (
+        lambda: load_embedding("2 1\n0 1\nrot 0: 1 1\nrot 1: 0\n"),
+        "rotation at 0 repeats a neighbor",
+    ),
+    (
+        lambda: load_embedding("2 1\n0 1\nrot 0:\nrot 1: 0\n"),
+        "rotation at 0 does not match its neighbors",
+    ),
     (
         lambda: embedding_from_positions(
             make_graph(3, [(0, 1), (0, 2)]), {0: (0, 0), 1: (1, 0), 2: (2, 0)}

@@ -14,12 +14,15 @@ from defcol import (
     dump_graph,
     load_embedding,
     load_graph,
+    non_1k,
     triangle_link,
 )
+from defcol import graphs
 from defcol.cli import main
 from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
 from corpus import fused_hexagons, k3_embedding, pendant_triangle
+from oracles import load_embedding_by_tokens, load_graph_by_tokens
 
 
 VALID = [
@@ -28,13 +31,21 @@ VALID = [
     for doc in (dump_graph(emb.graph), dump_embedding(emb))
 ]
 
+# int() quotes at most 200 characters of a bad token's repr; the loaders quote it whole
+LONG_BAD_TOKENS = ["x" * 250, "1" * 249 + "x", "-" * 250, "x" * 249 + ":", "١" * 250]
+
 TOKENS = st.one_of(
     st.sampled_from(
         ["0", "1", "2", "3", "7", "-1", "label", "rot", "0:", "3:", ":", "x", "#",
-         "1.5", "1_0", str(MAX_VERTICES + 1), str(10**30)]
+         "1.5", "1_0", str(MAX_VERTICES + 1), str(10**30),
+         "+1", "+", "_", "a_b", "1_", "+0:", "١", "2٠", "١:", "１", "é",
+         *LONG_BAD_TOKENS]
     ),
     st.text(max_size=3),
 )
+
+# str.split separates fields on any run of whitespace, ASCII or not
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u3000"])
 
 
 @st.composite
@@ -55,7 +66,7 @@ def mutated_documents(draw):
         elif op == "duplicate line":
             lines.insert(i, lines[i])
         elif op == "rewrite line":
-            lines[i] = " ".join(draw(st.lists(TOKENS, max_size=4)))
+            lines[i] = draw(SEPARATORS).join(draw(st.lists(TOKENS, max_size=4)))
         elif tokens:
             j = draw(st.integers(0, len(tokens) - 1))
             if op == "drop token":
@@ -64,7 +75,7 @@ def mutated_documents(draw):
                 tokens.insert(j, tokens[j])
             else:
                 tokens[j] = draw(TOKENS)
-            lines[i] = " ".join(tokens)
+            lines[i] = draw(SEPARATORS).join(tokens)
     return "\n".join(lines) + "\n"
 
 
@@ -76,6 +87,40 @@ def test_mutated_documents_load_or_raise_value_error(text):
             loader(text)
         except ValueError:
             pass
+
+
+def load_outcome(load, dump, text):
+    """dump(load(text)), or the message of the ValueError that load raises."""
+    try:
+        value = load(text)
+    except ValueError as exc:
+        return "rejected", str(exc)
+    return "loaded", dump(value)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_documents())
+def test_loaders_agree_with_the_token_by_token_loaders(text):
+    cases = ((load_graph, load_graph_by_tokens, dump_graph),
+             (load_embedding, load_embedding_by_tokens, dump_embedding))
+    for load, oracle, dump in cases:
+        assert load_outcome(load, dump, text) == load_outcome(oracle, dump, text)
+
+
+@pytest.mark.parametrize("dump, load", [(dump_graph, load_graph), (dump_embedding, load_embedding)],
+                         ids=["graph", "embedding"])
+def test_strict_token_reads_do_not_grow_with_the_edge_count(dump, load, monkeypatch):
+    strict = graphs._int_token
+    calls = []
+    monkeypatch.setattr(graphs, "_int_token", lambda token: calls.append(token) or strict(token))
+    counts = []
+    for k in (1, 6):
+        emb = non_1k(k).embedding
+        calls.clear()
+        load(dump(emb if dump is dump_embedding else emb.graph))
+        counts.append((emb.graph.edge_count, len(calls)))
+    (small, small_calls), (large, large_calls) = counts
+    assert small < large and small_calls == large_calls
 
 
 @pytest.mark.parametrize(
@@ -154,9 +199,13 @@ def test_each_integer_field_reads_ten(field):
     loader(template.replace("{t}", "10"))
 
 
-# int() reads each of these as 10; the formats define only ASCII -?[0-9]+
-@pytest.mark.parametrize("token", ["1_0", "+10", "١٠"],
-                         ids=["underscore", "plus sign", "arabic-indic digits"])
+# int() reads the first three as 10; the formats define only ASCII -?[0-9]+.
+# The message quotes each bad token whole, where int()'s own would cut it.
+@pytest.mark.parametrize(
+    "token", ["1_0", "+10", "١٠", *LONG_BAD_TOKENS],
+    ids=["underscore", "plus sign", "arabic-indic digits",
+         *(f"long {t[:1]!r}..{t[-1:]!r}" for t in LONG_BAD_TOKENS)],
+)
 @pytest.mark.parametrize("field", INTEGER_FIELDS)
 def test_integers_outside_the_format_are_rejected(field, token):
     loader, template = INTEGER_FIELDS[field]
