@@ -55,9 +55,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_graph_arg(args) -> Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
         return load_graph(_read(args.graph))
-    if getattr(args, "embedding", None):
+    if args.embedding:
         return load_embedding(_read(args.embedding)).graph
     raise CliError("either --graph or --embedding is required")
 
@@ -69,11 +69,9 @@ def _parse_spec(text: str) -> tuple[int, ...]:
         raise CliError(f"malformed spec {text!r}; expected e.g. 1,1") from exc
 
 
-def _resolve_vertex(g: Graph, token: str):
-    try:
-        return g.vertex_by_label(token)
-    except KeyError:
-        pass
+def _resolve_vertex(g: Graph, by_label: dict, token: str):
+    if token in by_label:
+        return by_label[token]
     try:
         index = _int_token(token)
     except ValueError:
@@ -83,7 +81,7 @@ def _resolve_vertex(g: Graph, token: str):
     return g.vertices[index]
 
 
-def _parse_assignments(g: Graph, pairs: list[str]) -> list[tuple[object, int]]:
+def _parse_assignments(g: Graph, by_label: dict, pairs: list[str]) -> list[tuple[object, int]]:
     out = []
     for item in pairs:
         if "=" not in item:
@@ -93,7 +91,7 @@ def _parse_assignments(g: Graph, pairs: list[str]) -> list[tuple[object, int]]:
             c = _int_token(ctok)
         except ValueError:
             raise CliError(f"malformed color in {item!r}") from None
-        out.append((_resolve_vertex(g, vtok), c))
+        out.append((_resolve_vertex(g, by_label, vtok), c))
     return out
 
 
@@ -106,12 +104,13 @@ _int_arg.__name__ = "int"  # argparse names it in "invalid int value: '1_0'"
 
 
 def _constraints(g: Graph, args) -> ConstraintSet:
+    by_label = {name: v for v, name in g.labels.items()}
     forced: dict[object, int] = {}
-    for v, c in _parse_assignments(g, args.force or []):
+    for v, c in _parse_assignments(g, by_label, args.force or []):
         if forced.setdefault(v, c) != c:
             raise CliError(f"vertex {v!r} is forced to both {forced[v]} and {c}")
     forbidden: dict[object, set[int]] = {}
-    for v, c in _parse_assignments(g, args.forbid or []):
+    for v, c in _parse_assignments(g, by_label, args.forbid or []):
         forbidden.setdefault(v, set()).add(c)
     return ConstraintSet(forced, {v: frozenset(cs) for v, cs in forbidden.items()})
 

@@ -300,14 +300,14 @@ def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
     return ChargeLedger(charges)  # vertices, then faces
 
 
-def _rule_transfers(tags: StructureTags, rule: Rule) -> Iterator[Transfer]:
+def _rule_pairs(tags: StructureTags, rule: Rule) -> Iterator[tuple[ElementKey, ElementKey]]:
     source, targets, target = rule.relation
     degree = tags.degree if source == "v" else tags.face_degree
     for s, ts in getattr(tags, targets).items():
         if rule.selects_degree(degree[s]):
             src = (source, s)
             for t in ts:
-                yield Transfer(rule.rule_id, src, (target, t), rule.amount)
+                yield src, (target, t)
 
 
 def apply_ruleset(
@@ -315,28 +315,33 @@ def apply_ruleset(
 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run every rule against the initial classification; returns the final
     ledger and the complete transfer log in deterministic order."""
-    _, final, log = _discharge(analyze(source), ruleset)
+    _, final, per_rule = _discharge(analyze(source), ruleset)
+    log = [Transfer(rule.rule_id, src, dst, rule.amount)
+           for rule, pairs in per_rule for src, dst in pairs]
     return final, log
 
 
 def _discharge(
     analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
-) -> tuple[ChargeLedger, ChargeLedger, list[Transfer]]:
+) -> tuple[ChargeLedger, ChargeLedger, list[tuple[Rule, list[tuple[ElementKey, ElementKey]]]]]:
+    """The initial and final ledgers, and each rule in order with the
+    (source, target) keys of its transfers."""
     initial = initial_charges(analysis)
     # every charge is a numerator over den, so each transfer is two integer
     # additions of its rule's step; initial charges are integers
     den = math.lcm(*{rule.amount.denominator for rule in ruleset.rules})
     nums = {key: q.numerator * den for key, q in initial.charges.items()}
-    log: list[Transfer] = []
+    per_rule = []
     for rule in ruleset.rules:
         step = rule.amount.numerator * (den // rule.amount.denominator)
-        for t in _rule_transfers(analysis.tags, rule):
-            nums[t.source] -= step
-            nums[t.target] += step
-            log.append(t)
+        pairs = list(_rule_pairs(analysis.tags, rule))
+        for src, dst in pairs:
+            nums[src] -= step
+            nums[dst] += step
+        per_rule.append((rule, pairs))
     values = {num: Fraction(num, den) for num in set(nums.values())}  # one per numerator
     charges = {key: values[num] for key, num in nums.items()}
-    return initial, ChargeLedger(charges), log
+    return initial, ChargeLedger(charges), per_rule
 
 
 def verify_conservation(initial: ChargeLedger, final: ChargeLedger) -> bool:
@@ -556,20 +561,16 @@ def audit_json(source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRul
     the templates directly."""
     analysis = analyze(source)
     tags = analysis.tags
-    initial, final, log = _discharge(analysis, ruleset)
+    initial, final, per_rule = _discharge(analysis, ruleset)
     # final is built over initial's keys, so equal totals are conservation
     initial_total, final_total = initial.total(), final.total()
     ids = {key: encode_basestring_ascii(str(key[1])) for key in initial.charges}
     sides: dict[ElementKey, list[str]] = {key: [] for key in initial.charges}
-    rule_id = amount = None
-    for t in log:
-        # each rule's transfers are one run sharing its id and amount
-        if t.rule_id is not rule_id or t.amount is not amount:
-            rule_id, amount = t.rule_id, t.amount
-            amount_text, rule_text = str(amount), encode_basestring_ascii(rule_id)
-        src, dst = t.source, t.target
-        sides[src].append(_SENT_TO[dst[0]] % (amount_text, rule_text, ids[dst]))
-        sides[dst].append(_RECEIVED_FROM[src[0]] % (amount_text, ids[src], rule_text))
+    for rule, pairs in per_rule:
+        amount_text, rule_text = str(rule.amount), encode_basestring_ascii(rule.rule_id)
+        for src, dst in pairs:
+            sides[src].append(_SENT_TO[dst[0]] % (amount_text, rule_text, ids[dst]))
+            sides[dst].append(_RECEIVED_FROM[src[0]] % (amount_text, ids[src], rule_text))
     walk_ids = {v: ids["v", v] for v in tags.degree}
     elements = []
     for (key, q), final_q in zip(initial.charges.items(), final.charges.values()):

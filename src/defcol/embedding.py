@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .graphs import (
     Graph,
     Vertex,
-    _content_lines,
     _edgelist_lines,
-    _int_error,
-    _int_reader,
+    _read_document,
     is_connected,
     parse_graph_lines,
 )
@@ -184,9 +182,9 @@ def dump_embedding(emb: PlaneEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_embedding(text: str) -> PlaneEmbedding:
-    to_int = _int_reader(text)
-    g, leftover = parse_graph_lines(_content_lines(text), to_int)
+def _parse_embedding(lines: list[str], to_int: Callable[[str], int]) -> tuple[Graph, dict]:
+    """The graph and rotation of an embedding document's content lines."""
+    g, leftover = parse_graph_lines(lines, to_int)
     rotation: dict[Vertex, list[Vertex]] = {}
     for line in leftover:
         parts = line.split()
@@ -194,17 +192,15 @@ def load_embedding(text: str) -> PlaneEmbedding:
             raise ValueError(f"unexpected line {line!r} in embedding document")
         if len(parts) < 2 or not parts[1].endswith(":"):
             raise ValueError(f"malformed rotation line {line!r}")
-        try:
-            v = to_int(parts[1][:-1])
-        except ValueError:
-            raise _int_error([parts[1][:-1]]) from None
+        v = to_int(parts[1][:-1])
         if v in rotation:
             raise ValueError(f"second rotation line for vertex {v}")
-        try:
-            rotation[v] = list(map(to_int, parts[2:]))
-        except ValueError:
-            raise _int_error(parts[2:]) from None
+        rotation[v] = list(map(to_int, parts[2:]))
     missing = [v for v in g.vertices if v not in rotation]
     if missing:
         raise ValueError(f"no rotation record for vertex {missing[0]}")
-    return PlaneEmbedding(g, rotation)
+    return g, rotation
+
+
+def load_embedding(text: str) -> PlaneEmbedding:
+    return PlaneEmbedding(*_read_document(text, _parse_embedding))

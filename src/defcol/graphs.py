@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 Vertex = Hashable
+T = TypeVar("T")
 
 MIN_CYCLE_LENGTH = 3
 MAX_CYCLE_LENGTH = 8
@@ -121,12 +122,6 @@ class Graph:
 
     def label_of(self, v: Vertex) -> str | None:
         return self._labels.get(v)
-
-    def vertex_by_label(self, name: str) -> Vertex:
-        for v, lab in self._labels.items():
-            if lab == name:
-                return v
-        raise KeyError(name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -344,47 +339,40 @@ def _int_token(token: str) -> int:
 IntReader = Callable[[str], int]
 
 
-def _int_reader(text: str) -> IntReader:
-    """The reader for the integer fields of a text document: bare `int`
-    where it reads exactly as `_int_token`, else `_int_token`.
+def _read_document(text: str, parse: Callable[[list[str], IntReader], T]) -> T:
+    """parse(lines, to_int) on the content lines of a text document, with
+    integer fields read exactly as `_int_token` reads them.
 
     A field is a token of `str.split`, so it holds no whitespace. On such a
     token `int()` goes beyond ASCII `-?[0-9]+` only through `+`, `_` and
     non-ASCII digits, so in an ASCII document free of `+` and `_` both accept
-    the same tokens with the same values, at a fraction of the cost. Their
-    messages differ only for a long bad token: `int()` cuts its repr at 200
-    characters, so callers take the message from `_int_error`.
+    the same tokens with the same values, and bare `int` reads it at a
+    fraction of the cost. Their messages differ only for a long bad token,
+    whose repr `int()` cuts at 200 characters. So a clean document is read
+    with `int` first, and one that fails, like any other document, is read
+    with `_int_token`: the same reads then fail on the same line, with the
+    message that quotes the bad token whole.
     """
+    lines = _content_lines(text)
     if text.isascii() and "+" not in text and "_" not in text:
-        return int
-    return _int_token
-
-
-def _int_error(tokens: list[str]) -> ValueError:
-    """The error that `_int_token` raises for the first of tokens it rejects,
-    where an `_int_reader` has failed on one of them."""
-    for token in tokens:
         try:
-            _int_token(token)
-        except ValueError as exc:
-            return exc
-    raise AssertionError(f"no token of {tokens!r} is rejected")
+            return parse(lines, int)
+        except ValueError:
+            pass
+    return parse(lines, _int_token)
 
 
 def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[str]]:
     """Parse the edge-list section; returns the graph and leftover lines.
 
-    Integer fields are read with to_int, the `_int_reader` of the document.
+    Integer fields are read with to_int, as `_read_document` passes it.
     """
     if not lines:
         raise ValueError("empty graph document")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
-    try:
-        n, m = to_int(head[0]), to_int(head[1])
-    except ValueError:
-        raise _int_error(head) from None
+    n, m = to_int(head[0]), to_int(head[1])
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if n < 0:
@@ -398,10 +386,9 @@ def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[
             u, v = line.split()
             append((to_int(u), to_int(v)))
     except ValueError:
-        parts = line.split()
-        if len(parts) != 2:
+        if len(line.split()) != 2:
             raise ValueError(f"malformed edge line {line!r}") from None
-        raise _int_error(parts) from None
+        raise
     if len(pairs) != m:
         raise ValueError(f"expected {m} edge lines, found {len(pairs)}")
     rest = lines[1 + m :]
@@ -412,10 +399,7 @@ def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[
         if parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
-            try:
-                v = to_int(parts[1])
-            except ValueError:
-                raise _int_error(parts[1:2]) from None
+            v = to_int(parts[1])
             if v in labels:
                 raise ValueError(f"second label line for vertex {v}")
             labels[v] = parts[2]
@@ -428,7 +412,7 @@ def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[
 
 
 def load_graph(text: str) -> Graph:
-    g, leftover = parse_graph_lines(_content_lines(text), _int_reader(text))
+    g, leftover = _read_document(text, parse_graph_lines)
     ignorable = all(line.split()[0] == "rot" for line in leftover)
     if leftover and not ignorable:
         raise ValueError(f"unexpected trailing line {leftover[0]!r}")

@@ -45,7 +45,13 @@ from defcol import (
     delete_vertex,
     solve,
 )
-from defcol.discharging import ALL_VALIDATORS, _discharge, analyze, negative_elements
+from defcol.discharging import (
+    ALL_VALIDATORS,
+    analyze,
+    apply_ruleset,
+    initial_charges,
+    negative_elements,
+)
 from defcol.embedding import certify_faces
 from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
@@ -385,7 +391,8 @@ def build_audit_by_dicts(emb, ruleset):
     negative elements, and the three structural validator verdicts."""
     analysis = analyze(emb)
     tags = analysis.tags
-    initial, final, log = _discharge(analysis, ruleset)
+    initial = initial_charges(analysis)
+    final, log = apply_ruleset(analysis, ruleset)
     # final is built over initial's keys, so equal totals are conservation
     initial_total, final_total = initial.total(), final.total()
     per_element = {}

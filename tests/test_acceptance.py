@@ -37,7 +37,7 @@ from defcol import (
 
 from corpus import corpus, face_2_6_6, k3_embedding, vertex7_one_triangle, vertex11_one_triangle
 
-AGREEMENT_SPECS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2)]
+AGREEMENT_SPECS = [(0, 0), (0, 1), (1, 1), (0, 2), (2, 2), (0, 0, 0), (1, 0, 0)]
 CORPUS = corpus()
 
 
