@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from typing import Iterator
 
 from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
@@ -358,6 +359,24 @@ def negative_elements(ledger: ChargeLedger) -> list[tuple[ElementKey, Fraction]]
 
 # -- structural validators ------------------------------------------------
 
+_CONVERT = {**_SCALAR_WRITERS, object: lambda element: encode_basestring_ascii(str(element))}
+
+
+def _shape(keys: dict[str, type]) -> tuple:
+    """A shape: its detail keys, in the order a judge yields their values,
+    its items' v1 template at depth 4, the getter of the template's values
+    from a row, and the converter of each value that does not fill a %d slot."""
+    names = [None, "element", "status", *keys]  # by row position
+    types = [None, object, str, *keys.values()]
+    order = sorted(range(1, len(names)), key=names.__getitem__)
+    template = block([encode_basestring_ascii(names[i]) + (": %d" if types[i] is int else ": %s")
+                      for i in order], 4, "{}")
+    convert = tuple((j, _CONVERT[types[i]]) for j, i in enumerate(order) if types[i] is not int)
+    return tuple(keys), template, itemgetter(*order), convert
+
+
+_SHAPES: dict[str, tuple[tuple, ...]] = {}  # each validator's item shapes, by name
+
 
 @dataclass(frozen=True)
 class ValidationItem:
@@ -368,40 +387,39 @@ class ValidationItem:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A validator's verdict; `items` and `to_json` are read from its rows."""
+
     name: str
     status: str
-    items: tuple[ValidationItem, ...] = ()
+    rows: tuple[tuple, ...] = ()
     reason: str | None = None
 
+    @property
+    def items(self) -> tuple[ValidationItem, ...]:
+        return tuple(ValidationItem(e, status, dict(zip(_SHAPES[self.name][shape][0], values)))
+                     for shape, e, status, *values in self.rows)
+
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "reason": self.reason,
-            "items": [
-                {"element": str(i.element), "status": i.status, **i.detail}
-                for i in self.items
-            ],
-        }
+        items = [{"element": str(i.element), "status": i.status, **i.detail} for i in self.items]
+        return {"name": self.name, "status": self.status, "reason": self.reason, "items": items}
 
 
-def _validator(name: str):
-    """Make a validator from a judge of the classification of a certified,
-    c4c5-free embedding. The validator takes an embedding or its analysis
-    and reports an input it cannot judge as degenerate."""
+def _validator(name: str, *shapes: dict[str, type]):
+    """Make a validator from a judge of a certified, c4c5-free embedding's
+    classification, which yields a row (shape, element, status, *values) per
+    item, values in the order of `shapes[shape]`'s keys. The validator takes
+    an embedding or its analysis and reports one it cannot judge degenerate."""
+    _SHAPES[name] = tuple(map(_shape, shapes))
 
     def wrap(judge):
         def validator(source: PlaneEmbedding | EmbeddingAnalysis) -> ValidationReport:
             analysis = analyze(source)
             if analysis.validator_reason:
                 return ValidationReport(name, DEGENERATE, (), analysis.validator_reason)
-            items = tuple(judge(analysis.tags))
-            status = PASS
-            if any(i.status == DEGENERATE for i in items):
-                status = DEGENERATE
-            if any(i.status == FAIL for i in items):
-                status = FAIL
-            return ValidationReport(name, status, items)
+            rows = tuple(judge(analysis.tags))
+            statuses = set(map(itemgetter(2), rows))
+            status = FAIL if FAIL in statuses else DEGENERATE if DEGENERATE in statuses else PASS
+            return ValidationReport(name, status, rows)
 
         validator.__name__ = validator.__qualname__ = judge.__name__
         validator.__doc__ = judge.__doc__
@@ -422,8 +440,8 @@ def _doubly_covered_triangle(tags: StructureTags) -> bool:
     return tags.face_degree == (3, 3)
 
 
-@_validator("bad2_face_degrees")
-def check_bad2_face_degrees(tags: StructureTags) -> Iterator[ValidationItem]:
+@_validator("bad2_face_degrees", {"other_face": int, "other_degree": int}, {"why": str})
+def check_bad2_face_degrees(tags: StructureTags) -> Iterator[tuple]:
     """Every bad 2-vertex must have its non-triangle face of degree >= 7.
 
     Its two faces are distinct: one is a 3-face, and a walk of length 3
@@ -432,21 +450,19 @@ def check_bad2_face_degrees(tags: StructureTags) -> Iterator[ValidationItem]:
     degenerate rather than judged.
     """
     doubly_covered = _doubly_covered_triangle(tags)
-    for v in tags.degree:
-        if v not in tags.bad_two_vertices:
-            continue
+    for v in filter(tags.bad_two_vertices.__contains__, tags.degree):
         if doubly_covered:
-            yield ValidationItem(v, DEGENERATE, {"why": "faces share identical boundaries"})
+            yield 1, v, DEGENERATE, "faces share identical boundaries"
             continue
         f1, f2 = tags.corners[v]
         other = f2 if tags.face_degree[f1] == 3 else f1
         d = tags.face_degree[other]
-        status = PASS if d >= 7 else FAIL
-        yield ValidationItem(v, status, {"other_face": other, "other_degree": d})
+        yield 0, v, PASS if d >= 7 else FAIL, other, d
 
 
-@_validator("big_face_bad2_capacity")
-def check_big_face_bad2_capacity(tags: StructureTags) -> Iterator[ValidationItem]:
+@_validator("big_face_bad2_capacity", {"degree": int, "bad2": int, "bound": int},
+            {"why": str, "degree": int, "bad2": int})
+def check_big_face_bad2_capacity(tags: StructureTags) -> Iterator[tuple]:
     """Every simple-cycle face of degree k >= 7 carries at most k - 6
     bad-2-vertex incidences (counted with walk multiplicity).
 
@@ -459,15 +475,16 @@ def check_big_face_bad2_capacity(tags: StructureTags) -> Iterator[ValidationItem
         walk = tags.face_walk_vertices[i]
         count = len(tags.face_bad_two.get(i, ()))
         if len(set(walk)) != len(walk):
-            why = "boundary walk revisits a vertex"
-            yield ValidationItem(i, DEGENERATE, {"why": why, "degree": d, "bad2": count})
+            yield 1, i, DEGENERATE, "boundary walk revisits a vertex", d, count
         else:
-            status = PASS if count <= d - 6 else FAIL
-            yield ValidationItem(i, status, {"degree": d, "bad2": count, "bound": d - 6})
+            yield 0, i, PASS if count <= d - 6 else FAIL, d, count, d - 6
 
 
-@_validator("vertex_profiles")
-def check_vertex_profiles(tags: StructureTags) -> Iterator[ValidationItem]:
+_PROFILE = {"degree": int, "alpha": int, "beta": int, "gamma": int, "alt_form_holds": bool}
+
+
+@_validator("vertex_profiles", _PROFILE, {**_PROFILE, "why": str})
+def check_vertex_profiles(tags: StructureTags) -> Iterator[tuple]:
     """Per vertex: alpha <= floor(d/2) and 2*alpha + beta + gamma <= d.
 
     A second, differently weighted bound (2*beta + alpha + gamma <= d) is
@@ -478,19 +495,11 @@ def check_vertex_profiles(tags: StructureTags) -> Iterator[ValidationItem]:
     doubly_covered = _doubly_covered_triangle(tags)
     for v, d in tags.degree.items():
         a, b, c = tags.alpha[v], tags.beta[v], tags.gamma[v]
-        detail = {
-            "degree": d,
-            "alpha": a,
-            "beta": b,
-            "gamma": c,
-            "alt_form_holds": 2 * b + a + c <= d,
-        }
+        alt = 2 * b + a + c <= d
         if doubly_covered:
-            detail["why"] = "incident 3-faces share identical boundaries"
-            yield ValidationItem(v, DEGENERATE, detail)
+            yield 1, v, DEGENERATE, d, a, b, c, alt, "incident 3-faces share identical boundaries"
         else:
-            ok = a <= d // 2 and 2 * a + b + c <= d
-            yield ValidationItem(v, PASS if ok else FAIL, detail)
+            yield 0, v, PASS if a <= d // 2 and 2 * a + b + c <= d else FAIL, d, a, b, c, alt
 
 
 ALL_VALIDATORS = (
@@ -524,33 +533,24 @@ _AUDIT = block(['"conservation": %s', '"elements": %s', '"final_total": "%s"',
                 '"format": "defcol-audit v1"', '"initial_total": "%s"', '"negative": %s',
                 '"ruleset": %s', '"validators": %s'], 0, "{}")
 # The validators section, which the audit and `check lemmas` both write at
-# depth 1: one template per report, and one per item shape, built on first
-# use from to_json's keys, so to_json stays the items' one definition.
+# depth 1: one template per report, and each item fills its shape's template.
 _REPORT = block(['"items": %s', '"name": %s', '"reason": %s', '"status": %s'], 2, "{}")
-_ITEMS: dict[tuple[str, ...], tuple[str, list[str]]] = {}
 _LEMMAS = block(['"format": "defcol-check v1"', '"kind": "lemmas"', '"reports": %s'], 0, "{}")
 
 
 def _validators_json(analysis: EmbeddingAnalysis) -> str:
     """Every validator's report on `analysis`, by name, as v1 text at depth 1."""
-    reports = {r.name: r.to_json() for r in (v(analysis) for v in ALL_VALIDATORS)}
     members = []
-    for name in sorted(reports):
-        doc = reports[name]
+    for report in sorted((v(analysis) for v in ALL_VALIDATORS), key=attrgetter("name")):
         items = []
-        for item in doc["items"]:
-            entry = _ITEMS.get(tuple(item))
-            if entry is None:
-                keys = sorted(item)
-                template = block([encode_basestring_ascii(k).replace("%", "%%") + ": %s"
-                                  for k in keys], 4, "{}")
-                entry = _ITEMS[tuple(item)] = template, keys
-            template, keys = entry
-            values = map(item.__getitem__, keys)
-            items.append(template % tuple([_SCALAR_WRITERS[type(v)](v) for v in values]))
-        report = _REPORT % (block(items, 3), dumps(doc["name"]), dumps(doc["reason"]),
-                            dumps(doc["status"]))
-        members.append(encode_basestring_ascii(name) + ": " + report)
+        for row in report.rows:
+            _, template, pick, convert = _SHAPES[report.name][row[0]]
+            values = list(pick(row))
+            for j, to_json in convert:
+                values[j] = to_json(values[j])
+            items.append(template % tuple(values))
+        members.append(encode_basestring_ascii(report.name) + ": " + _REPORT % (
+            block(items, 3), dumps(report.name), dumps(report.reason), dumps(report.status)))
     return block(members, 1, "{}")
 
 

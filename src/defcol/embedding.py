@@ -91,25 +91,27 @@ def trace_faces(emb: PlaneEmbedding) -> list[Face]:
         raise ValueError("face tracing requires a connected graph")
     if g.vertex_count == 1:
         return [Face(())]  # a lone vertex still bounds the one outer face
-    darts: list[Dart] = []
-    for u in g.vertices:
-        for w in g.ordered_neighbors(u):
-            darts.append((u, w))
-    unused = set(darts)
+    # the dart after each dart on its face: (u, w) is followed by (w, x),
+    # where x follows u around w; each walk empties its darts
+    after: dict[Dart, Dart] = {}
+    for w, around in emb._rotation.items():
+        u = around[-1]
+        for x in around:
+            after[u, w] = (w, x)
+            u = x
     faces = []
-    for start in darts:
-        if start not in unused:
-            continue
-        walk = []
-        cur = start
-        while True:
-            walk.append(cur)
-            unused.discard(cur)
-            u, w = cur
-            cur = (w, emb.successor(w, u))
-            if cur == start:
-                break
-        faces.append(Face(tuple(walk)))
+    at = g.vertices.__getitem__
+    for u, ns in zip(g.vertices, g.adjacency):
+        for w in map(at, ns):
+            start = (u, w)
+            cur = after.pop(start, None)
+            if cur is None:
+                continue
+            walk = [start]
+            while cur != start:
+                walk.append(cur)
+                cur = after.pop(cur)
+            faces.append(Face(tuple(walk)))
     return faces
 
 

@@ -37,6 +37,16 @@ def pendant_triangle() -> PlaneEmbedding:
     return embedding_from_positions(g, pos)
 
 
+def bowtie_on_opaque_ids():
+    """Two triangles sharing the cut vertex "c", listed out of sorted order;
+    every 2-vertex lies between a triangle and the 6-face around both."""
+    ids = ["c", "b", "a", "e", "d"]
+    g = Graph(ids, [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
+    rotation = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "d", "e", "b"],
+                "d": ["e", "c"], "e": ["c", "d"]}
+    return PlaneEmbedding(g, rotation)
+
+
 def fused_hexagons(count: int) -> PlaneEmbedding:
     """Linear strip of edge-fused hexagons (brick-wall drawing)."""
     top = list(range(2 * count + 1))

@@ -17,9 +17,11 @@ None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
 was written as text, and the `check lemmas` report as the CLI wrote it
 before the validators section was written through templates: they reuse
-the package's analysis, discharging and validators, so that only the
-rendering differs. The old loaders build the package's `Graph` and
-`PlaneEmbedding`, so that only the reading of the text differs.
+the package's analysis and discharging, so that only the rendering and the
+validators differ. Their validators are the package's as they were before
+the judges yielded rows: each item a `ValidationItem` with a detail dict,
+rolled up and written by `to_json`. The old loaders build the package's
+`Graph` and `PlaneEmbedding`, so that only the reading of the text differs.
 
 The last section holds helpers that only tests call, moved here unchanged
 from the package: `identify`, `deletion_preserves` with its
@@ -32,9 +34,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from defcol import (
     CnfDocument,
@@ -46,7 +49,11 @@ from defcol import (
     solve,
 )
 from defcol.discharging import (
-    ALL_VALIDATORS,
+    DEGENERATE,
+    FAIL,
+    PASS,
+    EmbeddingAnalysis,
+    StructureTags,
     analyze,
     apply_ruleset,
     initial_charges,
@@ -381,6 +388,150 @@ def dimacs_by_join(num_vars, clauses, comments):
     return "\n".join(lines) + "\n"
 
 
+# -- the structural validators, as they were before the judges yielded rows
+
+
+@dataclass(frozen=True)
+class ValidationItem:
+    element: object
+    status: str
+    detail: dict  # values are str, int, bool or None
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    name: str
+    status: str
+    items: tuple[ValidationItem, ...] = ()
+    reason: str | None = None
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "status": self.status,
+            "reason": self.reason,
+            "items": [
+                {"element": str(i.element), "status": i.status, **i.detail}
+                for i in self.items
+            ],
+        }
+
+
+def _validator_by_items(name: str):
+    """Make a validator from a judge of the classification of a certified,
+    c4c5-free embedding. The validator takes an embedding or its analysis
+    and reports an input it cannot judge as degenerate."""
+
+    def wrap(judge):
+        def validator(source: PlaneEmbedding | EmbeddingAnalysis) -> ValidationReport:
+            analysis = analyze(source)
+            if analysis.validator_reason:
+                return ValidationReport(name, DEGENERATE, (), analysis.validator_reason)
+            items = tuple(judge(analysis.tags))
+            status = PASS
+            if any(i.status == DEGENERATE for i in items):
+                status = DEGENERATE
+            if any(i.status == FAIL for i in items):
+                status = FAIL
+            return ValidationReport(name, status, items)
+
+        validator.__name__ = validator.__qualname__ = judge.__name__
+        validator.__doc__ = judge.__doc__
+        return validator
+
+    return wrap
+
+
+def _doubly_covered_triangle(tags: StructureTags) -> bool:
+    """True when the embedding is K3: in a connected plane graph, the one
+    way for two distinct 3-faces to have the same boundary edge multiset.
+
+    Each shared edge separates the two faces (with both sides on one face it
+    would need more sides to appear on the other), so no other edge meets a
+    boundary vertex and the graph is the boundary. Euler then forces a
+    cycle, here a triangle.
+    """
+    return tags.face_degree == (3, 3)
+
+
+@_validator_by_items("bad2_face_degrees")
+def check_bad2_face_degrees_by_items(tags: StructureTags) -> Iterator[ValidationItem]:
+    """Every bad 2-vertex must have its non-triangle face of degree >= 7.
+
+    Its two faces are distinct: one is a 3-face, and a walk of length 3
+    cannot hold both darts out of a 2-vertex. On a doubly-covered triangle
+    (K3) they share the same boundary edges, so its vertices are flagged
+    degenerate rather than judged.
+    """
+    doubly_covered = _doubly_covered_triangle(tags)
+    for v in tags.degree:
+        if v not in tags.bad_two_vertices:
+            continue
+        if doubly_covered:
+            yield ValidationItem(v, DEGENERATE, {"why": "faces share identical boundaries"})
+            continue
+        f1, f2 = tags.corners[v]
+        other = f2 if tags.face_degree[f1] == 3 else f1
+        d = tags.face_degree[other]
+        status = PASS if d >= 7 else FAIL
+        yield ValidationItem(v, status, {"other_face": other, "other_degree": d})
+
+
+@_validator_by_items("big_face_bad2_capacity")
+def check_big_face_bad2_capacity_by_items(tags: StructureTags) -> Iterator[ValidationItem]:
+    """Every simple-cycle face of degree k >= 7 carries at most k - 6
+    bad-2-vertex incidences (counted with walk multiplicity).
+
+    A 7+-face whose boundary walk revisits a vertex is reported degenerate:
+    the bound is only supported on simple cycle boundaries.
+    """
+    for i, d in enumerate(tags.face_degree):
+        if d < 7:
+            continue
+        walk = tags.face_walk_vertices[i]
+        count = len(tags.face_bad_two.get(i, ()))
+        if len(set(walk)) != len(walk):
+            why = "boundary walk revisits a vertex"
+            yield ValidationItem(i, DEGENERATE, {"why": why, "degree": d, "bad2": count})
+        else:
+            status = PASS if count <= d - 6 else FAIL
+            yield ValidationItem(i, status, {"degree": d, "bad2": count, "bound": d - 6})
+
+
+@_validator_by_items("vertex_profiles")
+def check_vertex_profiles_by_items(tags: StructureTags) -> Iterator[ValidationItem]:
+    """Per vertex: alpha <= floor(d/2) and 2*alpha + beta + gamma <= d.
+
+    A second, differently weighted bound (2*beta + alpha + gamma <= d) is
+    recorded per vertex for documentation but never judged: it fails on
+    ordinary cycles, and the charge arithmetic consistently relies on the
+    first form. Vertices on a doubly-covered triangle (K3) are degenerate.
+    """
+    doubly_covered = _doubly_covered_triangle(tags)
+    for v, d in tags.degree.items():
+        a, b, c = tags.alpha[v], tags.beta[v], tags.gamma[v]
+        detail = {
+            "degree": d,
+            "alpha": a,
+            "beta": b,
+            "gamma": c,
+            "alt_form_holds": 2 * b + a + c <= d,
+        }
+        if doubly_covered:
+            detail["why"] = "incident 3-faces share identical boundaries"
+            yield ValidationItem(v, DEGENERATE, detail)
+        else:
+            ok = a <= d // 2 and 2 * a + b + c <= d
+            yield ValidationItem(v, PASS if ok else FAIL, detail)
+
+
+VALIDATORS_BY_ITEMS = (
+    check_bad2_face_degrees_by_items,
+    check_big_face_bad2_capacity_by_items,
+    check_vertex_profiles_by_items,
+)
+
+
 def _key_json(key):
     kind, ident = key
     return {"kind": "vertex" if kind == "v" else "face", "id": str(ident)}
@@ -429,7 +580,7 @@ def build_audit_by_dicts(emb, ruleset):
         ],
         "validators": {
             report.name: report.to_json()
-            for report in (v(analysis) for v in ALL_VALIDATORS)
+            for report in (v(analysis) for v in VALIDATORS_BY_ITEMS)
         },
     }
 
@@ -442,7 +593,7 @@ def lemmas_by_dicts(emb):
         {
             "format": "defcol-check v1",
             "kind": "lemmas",
-            "reports": {r.name: r.to_json() for r in (v(analysis) for v in ALL_VALIDATORS)},
+            "reports": {r.name: r.to_json() for r in (v(analysis) for v in VALIDATORS_BY_ITEMS)},
         },
         indent=2,
         sort_keys=True,

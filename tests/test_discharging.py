@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -11,6 +12,7 @@ import defcol.discharging as discharging
 import defcol.embedding as embedding
 from defcol import (
     ChargeLedger,
+    EmbeddingAnalysis,
     Graph,
     PlaneEmbedding,
     RULES_29,
@@ -38,6 +40,7 @@ from defcol.cli import main
 from defcol.discharging import audit_json, lemmas_json
 
 from corpus import (
+    bowtie_on_opaque_ids,
     corpus,
     cycle_embedding,
     face_2_5_8,
@@ -50,6 +53,7 @@ from corpus import (
     vertex11_one_triangle,
 )
 from oracles import (
+    VALIDATORS_BY_ITEMS,
     boundary_degeneracy,
     build_audit_by_dicts,
     discharge_by_fractions,
@@ -613,6 +617,79 @@ class TestLemmasTextAgainstDicts:
         reports = json.loads(text)["reports"]
         assert list(reports) == ["bad2_face_degrees", "big_face_bad2_capacity"]
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
+def reclassified(emb, **fields):
+    """The analysis of `emb` with some classification fields replaced."""
+    return EmbeddingAnalysis(emb, None, dataclasses.replace(analyze(emb).tags, **fields))
+
+
+# The corpus never fails a validator. A bad 2-vertex beside a face of degree
+# below 7 fails bad2_face_degrees. On a c4c5-free embedding the other two
+# lemmas always hold, so their fail items come from a classification with
+# one field replaced: five bad 2-vertices on the simple 10-face of a
+# triangle and a 9-cycle, whose other big face is degenerate, and a gamma of
+# 3 at a hexagon vertex of degree 2.
+SHAPE_FIXTURES = CORPUS + [
+    ("pendant_triangle", pendant_triangle()),
+    ("bowtie_on_opaque_ids", bowtie_on_opaque_ids()),
+    ("triangle_with_9_cycle_five_bad2",
+     reclassified(triangle_with_cycle(9), face_bad_two={0: (1, 2), 1: (2, 1), 2: (3, 4, 5, 6, 7)})),
+    ("hexagon_gamma_3",
+     reclassified(cycle_embedding(6), gamma={0: 3, **dict.fromkeys(range(1, 6), 0)})),
+]
+SHAPE_IDS = [n for n, _ in SHAPE_FIXTURES]
+EVERY_SHAPE_AND_STATUS = {
+    (name, shape, status)
+    for name in ("bad2_face_degrees", "big_face_bad2_capacity", "vertex_profiles")
+    for shape, status in ((0, "pass"), (0, "fail"), (1, "degenerate"))
+}
+
+
+def item_tuples(report):
+    return [(i.element, i.status, i.detail) for i in report.items]
+
+
+class TestItemShapes:
+    """Every item shape is written under each status it takes, byte for byte
+    as the oracles write it from item-by-item validators and dicts."""
+
+    def test_every_shape_and_status_is_written(self):
+        written = set()
+        for _, source in SHAPE_FIXTURES:
+            analysis = analyze(source)
+            assert lemmas_json(analysis) == lemmas_by_dicts(analysis)
+            assert_audit_text_is_dict_builders(analysis, RULES_29)
+            for validator in VALIDATORS:
+                report = validator(analysis)
+                written |= {(report.name, row[0], row[2]) for row in report.rows}
+        assert written == EVERY_SHAPE_AND_STATUS
+
+    @pytest.mark.parametrize("name,source", SHAPE_FIXTURES, ids=SHAPE_IDS)
+    def test_reports_match_the_item_oracle(self, name, source):
+        analysis = analyze(source)
+        for validator, oracle in zip(VALIDATORS, VALIDATORS_BY_ITEMS):
+            report, expected = validator(analysis), oracle(analysis)
+            assert (report.name, report.status, report.reason) == (
+                expected.name, expected.status, expected.reason)
+            assert item_tuples(report) == item_tuples(expected)
+            assert report.to_json() == expected.to_json()
+
+    def test_writers_build_no_validation_item(self, monkeypatch):
+        built = []
+        item = discharging.ValidationItem
+
+        def counted(*args):
+            built.append(args)
+            return item(*args)
+
+        monkeypatch.setattr(discharging, "ValidationItem", counted)
+        for _, source in SHAPE_FIXTURES:
+            lemmas_json(source)
+            audit_json(source, RULES_44)
+        assert built == []
+        # items are still read on demand, through the counted constructor
+        assert len(check_vertex_profiles(NON_1K[1]).items) == len(built) > 0
 
 
 class TestSharedAnalysis:

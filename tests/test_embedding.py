@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcol import (
-    Graph,
     PlaneEmbedding,
     check_planarity_certificate,
     dump_embedding,
@@ -14,7 +13,7 @@ from defcol import (
 )
 from defcol.embedding import NOT_GENUS_ZERO, certify_faces
 
-from corpus import corpus, cycle_embedding, k3_embedding, pendant_triangle
+from corpus import bowtie_on_opaque_ids, corpus, cycle_embedding, k3_embedding, pendant_triangle
 from strategies import connected_rotations
 
 CORPUS = corpus()
@@ -69,15 +68,6 @@ class TestTraceFaces:
         emb = PlaneEmbedding(make_graph(2, [(0, 1)]), {0: [1], 1: [0]})
         assert [f.degree for f in trace_faces(emb)] == [2]
         assert check_planarity_certificate(emb)
-
-
-def bowtie_on_opaque_ids():
-    # two triangles sharing the cut vertex "c", listed out of sorted order
-    ids = ["c", "b", "a", "e", "d"]
-    g = Graph(ids, [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("d", "e"), ("c", "e")])
-    rotation = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "d", "e", "b"],
-                "d": ["e", "c"], "e": ["c", "d"]}
-    return PlaneEmbedding(g, rotation)
 
 
 FIXED = [
