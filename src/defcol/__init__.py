@@ -20,7 +20,6 @@ from .graphs import (
     make_graph,
 )
 from .embedding import (
-    Face,
     PlaneEmbedding,
     check_planarity_certificate,
     dump_embedding,
@@ -76,7 +75,6 @@ __all__ = [
     "is_connected",
     "dump_graph",
     "load_graph",
-    "Face",
     "PlaneEmbedding",
     "trace_faces",
     "check_planarity_certificate",

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterator
 
-from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Face, PlaneEmbedding, certify_faces
+from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Dart, PlaneEmbedding, certify_faces
 from .graphs import Graph, Vertex, is_c4c5_free
 from .report import _SCALAR_WRITERS, block, dumps
 
@@ -223,10 +223,10 @@ def classify(emb: PlaneEmbedding) -> StructureTags:
     return analyze(emb).tags
 
 
-def _classify(g: Graph, faces: list[Face]) -> StructureTags:
+def _classify(g: Graph, faces: list[tuple[Dart, ...]]) -> StructureTags:
     degree = {v: g.degree(v) for v in g.vertices}
-    face_degree = tuple(f.degree for f in faces)
-    face_walk_vertices = tuple(f.vertices() for f in faces)
+    face_degree = tuple(map(len, faces))
+    face_walk_vertices = tuple(tuple(u for u, _ in walk) for walk in faces)
     three_faces = tuple(i for i, d in enumerate(face_degree) if d == 3)
 
     # face index at each corner, one per walk occurrence: d entries at degree d

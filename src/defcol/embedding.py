@@ -8,7 +8,6 @@ V - E + F = 2 on the traced faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .graphs import (
@@ -25,35 +24,15 @@ EMBEDDING_HEADER = "# defcol-embedding v1"
 Dart = tuple[Vertex, Vertex]
 
 
-@dataclass(frozen=True)
-class Face:
-    """One face of an embedding: a cyclic walk of directed edges.
-
-    The degree is the walk length; a cut vertex crossed twice contributes
-    two incidences, and a bridge contributes both of its directions.
-    """
-
-    walk: tuple[Dart, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.walk)
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        """Boundary vertices in walk order, with multiplicity."""
-        return tuple(u for u, _ in self.walk)
-
-
 class PlaneEmbedding:
     """A graph together with a cyclic neighbor order at every vertex."""
 
-    __slots__ = ("graph", "_rotation", "_succ")
+    __slots__ = ("graph", "_rotation")
 
     def __init__(self, graph: Graph, rotation: Mapping[Vertex, Sequence[Vertex]]):
         if set(rotation) != set(graph.vertices):
             raise ValueError("rotation must list every vertex exactly once")
         rot: dict[Vertex, tuple[Vertex, ...]] = {}
-        succ: dict[Dart, Vertex] = {}
         at = graph.vertices.__getitem__
         for v, ns in zip(graph.vertices, graph.adjacency):
             around = tuple(rotation[v])
@@ -63,34 +42,30 @@ class PlaneEmbedding:
             if listed != set(map(at, ns)):
                 raise ValueError(f"rotation at {v!r} does not match its neighbors")
             rot[v] = around
-            for i, u in enumerate(around):
-                succ[(v, u)] = around[(i + 1) % len(around)]
         self.graph = graph
         self._rotation = rot
-        self._succ = succ
 
     def rotation_of(self, v: Vertex) -> tuple[Vertex, ...]:
         return self._rotation[v]
-
-    def successor(self, v: Vertex, u: Vertex) -> Vertex:
-        """Neighbor following u in the cyclic order around v."""
-        return self._succ[(v, u)]
 
     def __repr__(self) -> str:
         return f"PlaneEmbedding({self.graph!r})"
 
 
-def trace_faces(emb: PlaneEmbedding) -> list[Face]:
-    """All faces of the embedding, each walk starting at its lowest dart.
+def trace_faces(emb: PlaneEmbedding) -> list[tuple[Dart, ...]]:
+    """All faces of the embedding, each a cyclic walk of darts starting at
+    its lowest dart.
 
     The traced walks partition the 2|E| directed edges; the face list is
-    ordered by the lowest directed edge each face contains.
+    ordered by the lowest directed edge each face contains. A face's degree
+    is its walk length: a cut vertex crossed twice contributes two
+    incidences, and a bridge contributes both of its directions.
     """
     g = emb.graph
     if not is_connected(g):
         raise ValueError("face tracing requires a connected graph")
     if g.vertex_count == 1:
-        return [Face(())]  # a lone vertex still bounds the one outer face
+        return [()]  # a lone vertex still bounds the one outer face
     # the dart after each dart on its face: (u, w) is followed by (w, x),
     # where x follows u around w; each walk empties its darts
     after: dict[Dart, Dart] = {}
@@ -111,7 +86,7 @@ def trace_faces(emb: PlaneEmbedding) -> list[Face]:
             while cur != start:
                 walk.append(cur)
                 cur = after.pop(cur)
-            faces.append(Face(tuple(walk)))
+            faces.append(tuple(walk))
     return faces
 
 
@@ -119,7 +94,7 @@ DISCONNECTED = "graph is disconnected"
 NOT_GENUS_ZERO = "embedding fails the Euler check"
 
 
-def certify_faces(emb: PlaneEmbedding) -> tuple[list[Face], str | None]:
+def certify_faces(emb: PlaneEmbedding) -> tuple[list[tuple[Dart, ...]], str | None]:
     """Traced faces and the first defect barring a genus-zero certificate:
     DISCONNECTED (no faces are traced), NOT_GENUS_ZERO (V - E + F != 2), or
     None when the embedding is certified."""

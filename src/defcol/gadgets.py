@@ -187,12 +187,11 @@ def np_reduce(g: Graph, k: int) -> GadgetResult:
 
     The result is colorable with defects (0, k) exactly when the input is
     colorable with defects (0, 1); on inputs of girth >= 6 it stays free of
-    4- and 5-cycles. k = 1 returns the input unchanged.
+    4- and 5-cycles. At k = 1 nothing is attached, so the result equals the
+    input.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k == 1:
-        return GadgetResult(g, {})
     n = g.vertex_count
     _check_size(n + 2 * n * (k - 1), g.edge_count + 3 * n * (k - 1))
     vertices: list[Vertex] = list(g.vertices)

@@ -228,7 +228,7 @@ def boundary_degeneracy(emb, tags):
     classification of the certified embedding `emb`."""
     faces, _ = certify_faces(emb)
     boundaries = tuple(
-        frozenset(Counter(frozenset(d) for d in f.walk).items()) for f in faces
+        frozenset(Counter(frozenset(d) for d in walk).items()) for walk in faces
     )
 
     def coincident(i, j):

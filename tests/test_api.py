@@ -10,7 +10,6 @@ PUBLIC = [
     "ConstraintSet",
     "DischargeRuleSet",
     "EmbeddingAnalysis",
-    "Face",
     "GadgetResult",
     "Graph",
     "PlaneEmbedding",

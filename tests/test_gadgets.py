@@ -17,6 +17,7 @@ from defcol import (
     girth,
     hub_gadget,
     is_c4c5_free,
+    is_valid_coloring,
     make_graph,
     non_1k,
     np_reduce,
@@ -72,7 +73,7 @@ class TestTriangleLink:
     def test_embedding_faces(self):
         link = triangle_link()
         assert check_planarity_certificate(link.embedding)
-        assert sorted(f.degree for f in trace_faces(link.embedding)) == [3, 3, 8]
+        assert sorted(map(len, trace_faces(link.embedding))) == [3, 3, 8]
 
     def test_terminals(self):
         link = triangle_link()
@@ -293,6 +294,38 @@ class TestAllOutputsC4C5Free:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_non_1k(self, k):
         assert is_c4c5_free(non_1k(k).graph)
+
+
+THREE_COLOR_GADGETS = {
+    "triangle_link": triangle_link,
+    **{f"hub_gadget({k})": (lambda k=k: hub_gadget(k)) for k in (1, 2, 3)},
+    **{f"non_1k({k})": (lambda k=k: non_1k(k)) for k in (1, 2, 3, 6)},
+    **{f"np_reduce(non_1k(1),{k})": (lambda k=k: np_reduce(non_1k(1).graph, k)) for k in (2, 3)},
+}
+
+
+class TestThreeColorKnownAnswers:
+    """Published results say every planar graph without 4- and 5-cycles is
+    (2,1,0)- and (4,0,0)-colorable (Chang, Havet, Montassier & Raspaud
+    2011), (3,0,0)-colorable (Hill, Smith & Yu 2013), (1,1,0)-colorable
+    (Xu, Miao & Wang 2014) and (2,0,0)-colorable (Chen, Wang, Liu & Xu
+    2016). These are cited from memory, not checked here; they are why
+    each solve below must be sat, since the paper's gadgets lie in that
+    class. The test checks the class membership and every witness."""
+
+    SPECS = [(2, 1, 0), (4, 0, 0), (3, 0, 0), (1, 1, 0), (2, 0, 0)]
+
+    @pytest.mark.parametrize("name", list(THREE_COLOR_GADGETS))
+    def test_sat_at_every_positive_spec(self, name):
+        built = THREE_COLOR_GADGETS[name]()
+        g = built.graph
+        assert is_c4c5_free(g)
+        if built.embedding is not None:
+            assert check_planarity_certificate(built.embedding)
+        for spec in self.SPECS:
+            out = solve(g, spec, budget=10**5)
+            assert out.is_sat, (spec, out.status)
+            assert is_valid_coloring(g, spec, out.coloring)
 
 
 class TestDeterminism:
