@@ -7,113 +7,43 @@ embeddings with face tracing, and exact-rational charge accounting for the
 three discharging rule systems.
 """
 
-from .graphs import (
-    Graph,
-    Vertex,
-    cycles_of_length,
-    delete_vertex,
-    dump_graph,
-    girth,
-    is_c4c5_free,
-    is_connected,
-    load_graph,
-    make_graph,
-)
-from .embedding import (
-    PlaneEmbedding,
-    check_planarity_certificate,
-    dump_embedding,
-    embedding_from_positions,
-    load_embedding,
-    trace_faces,
-)
-from .coloring import (
-    BRUTE_FORCE_CAP,
-    ColoringSpec,
-    ConstraintSet,
-    SolveOutcome,
-    always_extends,
-    brute_force_oracle,
-    is_valid_coloring,
-    solve,
-)
-from .cnf import CnfDocument, export_cnf
-from .gadgets import GadgetResult, hub_gadget, non_1k, np_reduce, triangle_link
-from .discharging import (
-    ChargeLedger,
-    DischargeRuleSet,
-    EmbeddingAnalysis,
-    RULES_29,
-    RULES_35,
-    RULES_44,
-    RULESETS,
-    StructureTags,
-    Transfer,
-    ValidationReport,
-    analyze,
-    apply_ruleset,
-    build_audit,
-    check_bad2_face_degrees,
-    check_big_face_bad2_capacity,
-    check_vertex_profiles,
-    classify,
-    initial_charges,
-    negative_elements,
-    verify_conservation,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "Vertex",
-    "make_graph",
-    "delete_vertex",
-    "cycles_of_length",
-    "girth",
-    "is_c4c5_free",
-    "is_connected",
-    "dump_graph",
-    "load_graph",
-    "PlaneEmbedding",
-    "trace_faces",
-    "check_planarity_certificate",
-    "embedding_from_positions",
-    "dump_embedding",
-    "load_embedding",
-    "ColoringSpec",
-    "ConstraintSet",
-    "SolveOutcome",
-    "BRUTE_FORCE_CAP",
-    "is_valid_coloring",
-    "solve",
-    "brute_force_oracle",
-    "always_extends",
-    "CnfDocument",
-    "export_cnf",
-    "GadgetResult",
-    "triangle_link",
-    "hub_gadget",
-    "non_1k",
-    "np_reduce",
-    "StructureTags",
-    "ChargeLedger",
-    "Transfer",
-    "DischargeRuleSet",
-    "RULES_44",
-    "RULES_35",
-    "RULES_29",
-    "RULESETS",
-    "EmbeddingAnalysis",
-    "analyze",
-    "classify",
-    "initial_charges",
-    "apply_ruleset",
-    "verify_conservation",
-    "negative_elements",
-    "ValidationReport",
-    "check_bad2_face_degrees",
-    "check_big_face_bad2_capacity",
-    "check_vertex_profiles",
-    "build_audit",
-]
+# each public name -> the module that defines it; a name is imported from
+# its module on first access, so importing one layer loads no other
+_HOMES = {
+    name: module
+    for module, names in {
+        "graphs": ("Graph", "Vertex", "make_graph", "delete_vertex", "cycles_of_length",
+                   "girth", "is_c4c5_free", "is_connected", "dump_graph", "load_graph"),
+        "embedding": ("PlaneEmbedding", "trace_faces", "check_planarity_certificate",
+                      "embedding_from_positions", "dump_embedding", "load_embedding"),
+        "coloring": ("ColoringSpec", "ConstraintSet", "SolveOutcome", "BRUTE_FORCE_CAP",
+                     "is_valid_coloring", "solve", "brute_force_oracle", "always_extends"),
+        "cnf": ("CnfDocument", "export_cnf"),
+        "gadgets": ("GadgetResult", "triangle_link", "hub_gadget", "non_1k", "np_reduce"),
+        "discharging": ("StructureTags", "ChargeLedger", "Transfer", "DischargeRuleSet",
+                        "RULES_44", "RULES_35", "RULES_29", "RULESETS", "EmbeddingAnalysis",
+                        "analyze", "classify", "initial_charges", "apply_ruleset",
+                        "verify_conservation", "negative_elements", "ValidationReport",
+                        "check_bad2_face_degrees", "check_big_face_bad2_capacity",
+                        "check_vertex_profiles", "build_audit"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,21 +10,28 @@ the valid constrained colorings via the color variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .coloring import ColoringSpec, ConstraintSet, as_spec, _validate_constraints
 from .graphs import Graph, Vertex
+from .record import Record
 
 CNF_HEADER = "c defcol-cnf v1"
 
 
-@dataclass
-class CnfDocument:
-    num_vars: int
-    clauses: list[tuple[int, ...]]
-    var_map: dict[tuple[Vertex, int], int]
-    comments: list[str] = field(default_factory=list)
+class CnfDocument(Record):
+    """A CNF instance; mutable, and so unhashable. `comments` is a new empty
+    list when omitted."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, num_vars: int, clauses: list[tuple[int, ...]],
+                 var_map: dict[tuple[Vertex, int], int], comments: list[str] | None = None):
+        if comments is None:
+            comments = []
+        self._set(locals())
 
     def to_dimacs(self) -> str:
         """DIMACS text: the header, the comments, the `p cnf` line, then one

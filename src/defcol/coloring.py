@@ -11,11 +11,11 @@ node budget is a distinct outcome.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import groupby, product
 from typing import Iterable, Mapping
 
 from .graphs import Graph, Vertex, delete_vertex
+from .record import Record
 
 BRUTE_FORCE_CAP = 10**8
 
@@ -38,24 +38,22 @@ class _BudgetStop(Exception):
     """Unwinds every open search of `solve` once the decision budget runs out."""
 
 
-@dataclass(frozen=True)
-class ColoringSpec:
+class ColoringSpec(Record):
     """Defect bounds (d1, ..., dk), one per color class, k >= 1.
 
     The order is not normalized; callers that assume d1 <= d2 must sort.
     """
 
-    defects: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "defects", tuple(self.defects))
-        for d in self.defects:
+    def __init__(self, defects: Iterable[int]):
+        defects = tuple(defects)
+        for d in defects:
             if type(d) is not int:
                 raise ValueError(f"defect {d!r} is not an int")
-        if len(self.defects) < 1:
+        if len(defects) < 1:
             raise ValueError("at least one color class is required")
-        if any(d < 0 for d in self.defects):
+        if any(d < 0 for d in defects):
             raise ValueError("defects must be non-negative")
+        self._set(locals())
 
     @property
     def k(self) -> int:
@@ -68,35 +66,35 @@ def as_spec(spec: ColoringSpec | Iterable[int]) -> ColoringSpec:
     return ColoringSpec(tuple(spec))
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Boundary conditions: colors forced on or forbidden to single vertices."""
+class ConstraintSet(Record):
+    """Boundary conditions: colors forced on or forbidden to single vertices.
+    Both mappings are copied; each forbidden collection becomes a frozenset."""
 
-    forced: Mapping[Vertex, int] = field(default_factory=dict)
-    forbidden: Mapping[Vertex, frozenset[int]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "forced", dict(self.forced))
-        object.__setattr__(
-            self, "forbidden", {v: frozenset(cs) for v, cs in self.forbidden.items()}
-        )
+    def __init__(self, forced: Mapping[Vertex, int] = (),
+                 forbidden: Mapping[Vertex, Iterable[int]] = ()):
+        forced = dict(forced)
+        forbidden = {v: frozenset(cs) for v, cs in dict(forbidden).items()}
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(Record):
     """Result of a solve: sat with a total coloring, exhaustive unsat, or
-    budget exhaustion with the node count reached."""
+    budget exhaustion with the node count reached.
 
-    status: str
-    coloring: dict[Vertex, int] | None
-    nodes: int
-    # Search statistics from `solve`: decisions (equal to nodes),
-    # pieces_closed, cache_hits, cache_misses, max_nesting, split_visits
-    # (vertices the piece searches reached beyond their seeds), pick_scans
-    # (vertices the branching picks examined: the static-order scan, and
-    # the entries of `lost` read with three or more colors) and
-    # knapsack_sums (the candidate totals the knapsacks formed).
-    stats: Mapping[str, int] = field(default_factory=dict)
+    `stats` holds the search statistics from `solve` (a new empty dict when
+    omitted): decisions (equal to nodes), pieces_closed, cache_hits,
+    cache_misses, max_nesting, split_visits (vertices the piece searches
+    reached beyond their seeds), pick_scans (vertices the branching picks
+    examined: the static-order scan, and the entries of `lost` read with
+    three or more colors) and knapsack_sums (the candidate totals the
+    knapsacks formed).
+    """
+
+    def __init__(self, status: str, coloring: dict[Vertex, int] | None, nodes: int,
+                 stats: Mapping[str, int] | None = None):
+        if stats is None:
+            stats = {}
+        self._set(locals())
 
     @property
     def is_sat(self) -> bool:

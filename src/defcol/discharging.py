@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -34,6 +33,7 @@ from typing import Iterator
 
 from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Dart, PlaneEmbedding, certify_faces
 from .graphs import Graph, Vertex, is_c4c5_free
+from .record import Record
 from .report import _SCALAR_WRITERS, block, dumps
 
 ElementKey = tuple[str, object]  # ("v", vertex id) or ("f", face index)
@@ -52,39 +52,39 @@ THREE_FACE_PENDANT = ("v", "pendant_faces", "f")
 BAD2_INCIDENT = ("f", "face_bad_two", "v")
 
 
-@dataclass(frozen=True)
-class StructureTags:
+class StructureTags(Record):
     """Complete structural classification of one embedding."""
 
-    degree: dict[Vertex, int]
-    face_degree: tuple[int, ...]
-    face_walk_vertices: tuple[tuple[Vertex, ...], ...]
-    corners: dict[Vertex, tuple[int, ...]]
-    bad_two_vertices: frozenset[Vertex]
-    incident_three_faces: dict[Vertex, tuple[int, ...]]
-    pendant_faces: dict[Vertex, tuple[int, ...]]
-    good_two_neighbors: dict[Vertex, tuple[Vertex, ...]]
-    # the bad 2-vertices on each face's walk, by ascending face index; only
-    # faces that have one are listed
-    face_bad_two: dict[int, tuple[Vertex, ...]]
-    alpha: dict[Vertex, int]
-    beta: dict[Vertex, int]
-    gamma: dict[Vertex, int]
+    def __init__(
+        self,
+        degree: dict[Vertex, int],
+        face_degree: tuple[int, ...],
+        face_walk_vertices: tuple[tuple[Vertex, ...], ...],
+        corners: dict[Vertex, tuple[int, ...]],
+        bad_two_vertices: frozenset[Vertex],
+        incident_three_faces: dict[Vertex, tuple[int, ...]],
+        pendant_faces: dict[Vertex, tuple[int, ...]],
+        good_two_neighbors: dict[Vertex, tuple[Vertex, ...]],
+        # the bad 2-vertices on each face's walk, by ascending face index;
+        # only faces that have one are listed
+        face_bad_two: dict[int, tuple[Vertex, ...]],
+        alpha: dict[Vertex, int],
+        beta: dict[Vertex, int],
+        gamma: dict[Vertex, int],
+    ):
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class Transfer:
-    rule_id: str
-    source: ElementKey
-    target: ElementKey
-    amount: Fraction
+class Transfer(Record):
+    def __init__(self, rule_id: str, source: ElementKey, target: ElementKey, amount: Fraction):
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
+class ChargeLedger(Record):
     """Exact rational charge per element, in canonical element order."""
 
-    charges: dict[ElementKey, Fraction]
+    def __init__(self, charges: dict[ElementKey, Fraction]):
+        self._set(locals())
 
     def total(self) -> Fraction:
         values = self.charges.values()
@@ -92,16 +92,13 @@ class ChargeLedger:
         return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """Move `amount` from every source whose degree is in the window to each
     of its targets under `relation`."""
 
-    rule_id: str
-    relation: tuple[str, str, str]
-    amount: Fraction
-    min_degree: int = 0
-    max_degree: int | None = None
+    def __init__(self, rule_id: str, relation: tuple[str, str, str], amount: Fraction,
+                 min_degree: int = 0, max_degree: int | None = None):
+        self._set(locals())
 
     def selects_degree(self, d: int) -> bool:
         if d < self.min_degree:
@@ -109,10 +106,9 @@ class Rule:
         return self.max_degree is None or d <= self.max_degree
 
 
-@dataclass(frozen=True)
-class DischargeRuleSet:
-    name: str
-    rules: tuple[Rule, ...]
+class DischargeRuleSet(Record):
+    def __init__(self, name: str, rules: tuple[Rule, ...]):
+        self._set(locals())
 
 
 def _rule(rid, amount, relation, lo, hi=None):
@@ -179,18 +175,22 @@ _CLASSIFY_ERRORS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingAnalysis:
+class EmbeddingAnalysis(Record):
     """The structure of one embedding, computed once and shared by the rules,
-    the validators and the audit. Build it with `analyze`.
+    the validators and the audit. Build it with `analyze`. Two analyses are
+    equal only when they are the same object.
 
     The c4c5 scan is computed on first use, so classifying or applying rules
     never pays for it.
     """
 
-    emb: PlaneEmbedding
-    defect: str | None  # from certify_faces; None when Euler-certified
-    classified: StructureTags | None
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, emb: PlaneEmbedding,
+                 defect: str | None,  # from certify_faces; None when Euler-certified
+                 classified: StructureTags | None):
+        self._set(locals())
 
     @property
     def tags(self) -> StructureTags:
@@ -378,21 +378,18 @@ def _shape(keys: dict[str, type]) -> tuple:
 _SHAPES: dict[str, tuple[tuple, ...]] = {}  # each validator's item shapes, by name
 
 
-@dataclass(frozen=True)
-class ValidationItem:
-    element: object
-    status: str
-    detail: dict  # values are str, int, bool or None
+class ValidationItem(Record):
+    def __init__(self, element: object, status: str,
+                 detail: dict):  # values are str, int, bool or None
+        self._set(locals())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """A validator's verdict; `items` and `to_json` are read from its rows."""
 
-    name: str
-    status: str
-    rows: tuple[tuple, ...] = ()
-    reason: str | None = None
+    def __init__(self, name: str, status: str, rows: tuple[tuple, ...] = (),
+                 reason: str | None = None):
+        self._set(locals())
 
     @property
     def items(self) -> tuple[ValidationItem, ...]:

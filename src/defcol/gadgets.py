@@ -12,33 +12,29 @@ check rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .embedding import PlaneEmbedding, check_planarity_certificate
 from .graphs import MAX_EDGES, MAX_VERTICES, Graph, Vertex
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GadgetResult:
+class GadgetResult(Record):
     """A generated graph plus its named terminal vertices."""
 
-    graph: Graph
-    terminals: dict[str, Vertex]
-    embedding: PlaneEmbedding | None = None
-
-    def __post_init__(self):
+    def __init__(self, graph: Graph, terminals: dict[str, Vertex],
+                 embedding: PlaneEmbedding | None = None):
         seen = set()
-        for name, v in self.terminals.items():
-            if v not in self.graph:
+        for name, v in terminals.items():
+            if v not in graph:
                 raise ValueError(f"terminal {name!r} refers to missing vertex {v!r}")
             if v in seen:
                 raise ValueError(f"terminal {name!r} duplicates another terminal")
             seen.add(v)
-        if self.embedding is not None:
-            if self.embedding.graph is not self.graph and self.embedding.graph != self.graph:
+        if embedding is not None:
+            if embedding.graph is not graph and embedding.graph != graph:
                 raise ValueError("embedding is for a different graph")
-            if not check_planarity_certificate(self.embedding):
+            if not check_planarity_certificate(embedding):
                 raise ValueError("emitted embedding fails the Euler check")
+        self._set(locals())
 
 
 def _check_size(vertices: int, edges: int) -> None:

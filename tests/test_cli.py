@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -418,6 +419,17 @@ class TestAuditCommand:
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--embedding", str(emb_path), "--ruleset", "99"])
         assert exc.value.code == 2
+        # the same usage error as argparse gives for choices=sorted(RULESETS)
+        reference = argparse.ArgumentParser(exit_on_error=False)
+        reference.add_argument("--ruleset", choices=sorted(RULESETS))
+        with pytest.raises(argparse.ArgumentError) as want:
+            reference.parse_args(["--ruleset", "99"])
+        err = capsys.readouterr().err
+        assert "--ruleset {29,35,44}" in err
+        assert err.splitlines()[-1] == f"defcol audit: error: {want.value}"
+
+    def test_ruleset_choices_are_the_rulesets(self):
+        assert defcol.cli.RULESET_NAMES == tuple(sorted(RULESETS))
 
 
 def indented(text: str) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -19,6 +18,7 @@ from defcol import (
     RULES_35,
     RULES_44,
     RULESETS,
+    StructureTags,
     apply_ruleset,
     build_audit,
     check_bad2_face_degrees,
@@ -621,7 +621,7 @@ class TestLemmasTextAgainstDicts:
 
 def reclassified(emb, **fields):
     """The analysis of `emb` with some classification fields replaced."""
-    return EmbeddingAnalysis(emb, None, dataclasses.replace(analyze(emb).tags, **fields))
+    return EmbeddingAnalysis(emb, None, StructureTags(**{**vars(analyze(emb).tags), **fields}))
 
 
 # The corpus never fails a validator. A bad 2-vertex beside a face of degree
