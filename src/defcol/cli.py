@@ -13,7 +13,6 @@ import gc
 import os
 import sys
 from functools import cache
-from pathlib import Path
 from time import monotonic
 
 from .cnf import export_cnf
@@ -55,14 +54,16 @@ class CliError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 

@@ -8,11 +8,14 @@ V - E + F = 2 on the traced faces.
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping, Sequence
+from itertools import islice
+from typing import Mapping, Sequence
 
 from .graphs import (
     Graph,
+    IntReader,
     Vertex,
+    _bulk_ints,
     _edgelist_lines,
     _read_document,
     is_connected,
@@ -159,10 +162,20 @@ def dump_embedding(emb: PlaneEmbedding) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_embedding(lines: list[str], to_int: Callable[[str], int]) -> tuple[Graph, dict]:
-    """The graph and rotation of an embedding document's content lines."""
+def _parse_embedding(lines: list[str], to_int: IntReader | None) -> tuple[Graph, dict]:
+    """The graph and rotation of an embedding document's content lines. The
+    bulk pass takes only `rot` lines in vertex order, which fixes their shape."""
     g, leftover = parse_graph_lines(lines, to_int)
     rotation: dict[Vertex, list[Vertex]] = {}
+    if to_int is None:
+        degrees = list(map(len, g.adjacency))
+        shape = "\n".join(map("rot :".__add__, map(" ".__mul__, degrees)))
+        fields = iter(_bulk_ints("\n".join(leftover), shape))
+        for v, d in enumerate(degrees):  # the shape gives line v 1 + d fields
+            if next(fields, None) != v:
+                raise ValueError("rotation lines out of vertex order")
+            rotation[v] = list(islice(fields, d))
+        return g, rotation
     for line in leftover:
         parts = line.split()
         if parts[0] != "rot":

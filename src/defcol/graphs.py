@@ -9,8 +9,11 @@ tie-breaking).
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
+from itertools import repeat
+from operator import add, lt, mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, TypeVar
 
 Vertex = Hashable
@@ -56,17 +59,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u!r}")
             around[i].add(j)
             around[j].add(i)
-        label_map = dict(labels or {})
-        for v in label_map:
-            if v not in index:
-                raise ValueError(f"label attached to unknown vertex {v!r}")
-        names = list(label_map.values())
-        if len(set(names)) != len(names):
-            raise ValueError("vertex labels must be unique")
-        self._order = order
-        self._index = index
-        self._adjacency = tuple(tuple(sorted(ns)) for ns in around)
-        self._labels = label_map
+        _build(self, order, index, map(sorted, around), labels)
 
     # -- basic queries -------------------------------------------------
 
@@ -137,6 +130,49 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertex_count} vertices, {self.edge_count} edges)"
+
+
+def _build(g: Graph, order: tuple, index: dict, around: Iterable[list[int]],
+           labels: Mapping[Vertex, str] | None) -> Graph:
+    """Fill g with the vertices `order` at their `index` positions, where
+    around yields each vertex's neighbor indices, ascending and repeat-free."""
+    label_map = dict(labels or {})
+    for v in label_map:
+        if v not in index:
+            raise ValueError(f"label attached to unknown vertex {v!r}")
+    names = list(label_map.values())
+    if len(set(names)) != len(names):
+        raise ValueError("vertex labels must be unique")
+    g._order = order
+    g._index = index
+    g._adjacency = tuple(map(tuple, around))
+    g._labels = label_map
+    return g
+
+
+def _index_graph(n: int, ends: list[int], labels: dict[int, str]) -> Graph:
+    """The graph on 0..n-1 with an edge {ends[2k], ends[2k + 1]} for each k,
+    or ValueError where the constructor raises one; a self-loop or a repeat
+    leaves fewer edges than pairs. Each end is appended to the other end's
+    list, which is ascending and repeat-free when every pair has u < v and
+    the pairs increase, as `dump_graph` writes them; else the lists are sets,
+    sorted once. The neighbors are `order`'s ints, one object per vertex as
+    in a constructed graph, not one per field read."""
+    if max(ends, default=-1) >= n:
+        raise ValueError("an edge end out of range")
+    order = tuple(range(n))
+    us, vs = ends[::2], ends[1::2]
+    ordered = all(map(lt, us, vs))
+    if ordered:
+        keys = list(map(add, map(mul, us, repeat(n)), vs))
+        ordered = all(map(lt, keys, keys[1:]))
+    kind, put = (list, list.append) if ordered else (set, set.add)
+    around = [kind() for _ in order]
+    for u, v in zip(us, vs):
+        put(around[u], order[v])
+        put(around[v], order[u])
+    return _build(Graph.__new__(Graph), order, dict(zip(order, order)),
+                  around if ordered else map(sorted, around), labels)
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -336,76 +372,85 @@ def _int_token(token: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {token!r}")
 
 
+_NO_DIGITS = str.maketrans("", "", "0123456789")
+_TO_COMMAS = str.maketrans(" \n", ",,")
+
+
+def _bulk_ints(section: str, shape: str) -> list[int]:
+    """The integer fields of section if deleting its ASCII digits leaves
+    shape, else ValueError. With spaces and line breaks made commas, and each
+    `:` that ends a field and each whole `rot` field dropped, `json.loads`
+    reads the fields; it fails on an empty field, a leading zero, and a `:`
+    or `rot` with digits glued on, which the strict pass rejects too."""
+    if section.translate(_NO_DIGITS) != shape:
+        raise ValueError("section outside the bulk shape")
+    fields = ("," + section).translate(_TO_COMMAS).replace(":,", ",").removesuffix(":")
+    return json.loads(f"[{fields.replace(',rot,', ',')[1:]}]")
+
+
 IntReader = Callable[[str], int]
 
 
-def _read_document(text: str, parse: Callable[[list[str], IntReader], T]) -> T:
-    """parse(lines, to_int) on the content lines of a text document, with
-    integer fields read exactly as `_int_token` reads them.
+def _read_document(text: str, parse: Callable[[list[str], IntReader | None], T]) -> T:
+    """parse(lines, to_int) on the content lines of a text document.
 
-    A field is a token of `str.split`, so it holds no whitespace. On such a
-    token `int()` goes beyond ASCII `-?[0-9]+` only through `+`, `_` and
-    non-ASCII digits, so in an ASCII document free of `+` and `_` both accept
-    the same tokens with the same values, and bare `int` reads it at a
-    fraction of the cost. Their messages differ only for a long bad token,
-    whose repr `int()` cuts at 200 characters. So a clean document is read
-    with `int` first, and one that fails, like any other document, is read
-    with `_int_token`: the same reads then fail on the same line, with the
-    message that quotes the bad token whole.
+    The bulk pass (to_int None) reads each section with one `_bulk_ints`
+    call and raises ValueError on any field that is not a plain decimal, as
+    on all that the strict pass rejects. The strict pass then reads each
+    field with to_int, `_int_token`, and gives every message. Where the bulk
+    pass returns, it has read the same values from the same fields.
     """
     lines = _content_lines(text)
-    if text.isascii() and "+" not in text and "_" not in text:
-        try:
-            return parse(lines, int)
-        except ValueError:
-            pass
-    return parse(lines, _int_token)
+    try:
+        return parse(lines, None)
+    except ValueError:
+        return parse(lines, _int_token)
 
 
-def parse_graph_lines(lines: list[str], to_int: IntReader) -> tuple[Graph, list[str]]:
+def parse_graph_lines(lines: list[str], to_int: IntReader | None) -> tuple[Graph, list[str]]:
     """Parse the edge-list section; returns the graph and leftover lines.
 
-    Integer fields are read with to_int, as `_read_document` passes it.
+    Integer fields are read as `_read_document` says of to_int.
     """
     if not lines:
         raise ValueError("empty graph document")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"expected 'n m' header, got {lines[0]!r}")
-    n, m = to_int(head[0]), to_int(head[1])
+    n, m = _bulk_ints(lines[0], " ") if to_int is None else map(to_int, head)
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if not 0 <= m <= MAX_EDGES:
         raise ValueError(f"edge count {m} outside 0..{MAX_EDGES}")
-    pairs = []
-    append = pairs.append
-    try:
-        for line in lines[1 : 1 + m]:
-            u, v = line.split()
-            append((to_int(u), to_int(v)))
-    except ValueError:
-        if len(line.split()) != 2:
-            raise ValueError(f"malformed edge line {line!r}") from None
-        raise
-    if len(pairs) != m:
-        raise ValueError(f"expected {m} edge lines, found {len(pairs)}")
-    rest = lines[1 + m :]
+    body = lines[1 : 1 + m]
+    if to_int is None:
+        ends = _bulk_ints("\n".join(body), (" \n" * m)[:-1])
+    else:
+        ends = []
+        for line in body:
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line {line!r}")
+            ends += map(to_int, parts)
+        if len(body) != m:
+            raise ValueError(f"expected {m} edge lines, found {len(body)}")
     labels: dict[int, str] = {}
     leftover = []
-    for line in rest:
+    for line in lines[1 + m :]:
         parts = line.split()
         if parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
-            v = to_int(parts[1])
+            v = _bulk_ints(parts[1], "")[0] if to_int is None else to_int(parts[1])
             if v in labels:
                 raise ValueError(f"second label line for vertex {v}")
             labels[v] = parts[2]
         else:
             leftover.append(line)
-    g = Graph(range(n), pairs, labels)
+    g = (_index_graph(n, ends, labels) if to_int is None
+         else Graph(range(n), zip(ends[::2], ends[1::2]), labels))
     if g.edge_count != m:
         raise ValueError(f"{m} edge lines name only {g.edge_count} distinct edges")
     return g, leftover

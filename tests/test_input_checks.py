@@ -101,12 +101,14 @@ REJECTED = [
     (lambda: load_graph("2 1\n0 5\n"), "edge endpoint 5 is not a vertex"),
     (lambda: load_graph("2 1\n1 1\n"), "self-loop at 1"),
     (lambda: load_graph("2 0\nlabel 0 a\nlabel 1 a\n"), "vertex labels must be unique"),
+    (lambda: load_graph("2 0\nlabel 5 a\n"), "label attached to unknown vertex 5"),
     (lambda: load_graph("2 1\n0 1 2\n"), "malformed edge line '0 1 2'"),
     (lambda: load_graph("3 2\n0 1\n"), "expected 2 edge lines, found 1"),
     (lambda: load_graph("2 2\n0 1\n1 0\n"), "2 edge lines name only 1 distinct edges"),
     (lambda: load_graph("2 0\nlabel 0\n"), "malformed label line 'label 0'"),
     (lambda: load_graph("2 0\nlabel 0 a\nlabel 0 b\n"), "second label line for vertex 0"),
     (lambda: load_graph("2 0\nfoo 1\n"), "unexpected trailing line 'foo 1'"),
+    (lambda: load_graph("2 0\nlabels 0 a\n"), "unexpected trailing line 'labels 0 a'"),
     (lambda: load_embedding("1 0\nfoo\n"), "unexpected line 'foo' in embedding document"),
     (lambda: load_embedding("1 0\nrot 0\n"), "malformed rotation line 'rot 0'"),
     (lambda: load_embedding("1 0\nrot 0:\nrot 0:\n"), "second rotation line for vertex 0"),

@@ -96,6 +96,15 @@ def test_package_import_loads_no_layer():
     assert out.strip() == "['defcol']"
 
 
+def test_cli_import_loads_no_pathlib():
+    # -S: a .pth file that site runs may import pathlib itself
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    script = "import sys, defcol.cli; print('pathlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_no_module_imports_dataclasses():
     for path in sorted((SRC / "defcol").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
