@@ -5,12 +5,12 @@ Initial charges are 2d(v) - 6 on vertices and d(f) - 6 on faces, which sum
 to exactly -12 on any Euler-certified embedding. A rule system is an
 ordered list of transfers; all rules are evaluated against the initial
 classification simultaneously, so transfers add up and are never chained.
-All arithmetic is exact (fractions.Fraction); floats never enter a ledger.
-Sums are taken on integers where they can be: a ledger total is one
-integer sum of numerators over the lcm of the denominators, and discharging
-keeps each charge as a numerator over the lcm of the rule amounts'
-denominators (initial charges are integers), adding each rule's scaled
-amount once per transfer.
+All arithmetic is exact; floats never enter a ledger. The core, `_discharge`,
+works in integers on element positions (vertices in `degree` order, then
+faces): each charge is a numerator over the lcm of the rule amounts'
+denominators. Fractions are built only at the edge, one per distinct
+numerator: `initial_charges` and `apply_ruleset` wrap the core in ledgers
+and `Transfer`s, and `audit_json` writes its integers as text.
 
 Classification vocabulary:
   * a 2-vertex is bad when it lies on a 3-face, good otherwise;
@@ -99,11 +99,6 @@ class Rule(Record):
     def __init__(self, rule_id: str, relation: tuple[str, str, str], amount: Fraction,
                  min_degree: int = 0, max_degree: int | None = None):
         self._set(locals())
-
-    def selects_degree(self, d: int) -> bool:
-        if d < self.min_degree:
-            return False
-        return self.max_degree is None or d <= self.max_degree
 
 
 class DischargeRuleSet(Record):
@@ -293,22 +288,7 @@ def _classify(g: Graph, faces: list[tuple[Dart, ...]]) -> StructureTags:
 def initial_charges(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
     """Charge 2d(v) - 6 per vertex and d(f) - 6 per face; total is -12."""
     tags = analyze(source).tags
-    charges: dict[ElementKey, Fraction] = {}
-    for v, d in tags.degree.items():
-        charges[("v", v)] = Fraction(2 * d - 6)
-    for i, d in enumerate(tags.face_degree):
-        charges[("f", i)] = Fraction(d - 6)
-    return ChargeLedger(charges)  # vertices, then faces
-
-
-def _rule_pairs(tags: StructureTags, rule: Rule) -> Iterator[tuple[ElementKey, ElementKey]]:
-    source, targets, target = rule.relation
-    degree = tags.degree if source == "v" else tags.face_degree
-    for s, ts in getattr(tags, targets).items():
-        if rule.selects_degree(degree[s]):
-            src = (source, s)
-            for t in ts:
-                yield src, (target, t)
+    return ChargeLedger(dict(zip(_element_keys(tags), map(Fraction, _initial(tags)))))
 
 
 def apply_ruleset(
@@ -316,33 +296,54 @@ def apply_ruleset(
 ) -> tuple[ChargeLedger, list[Transfer]]:
     """Run every rule against the initial classification; returns the final
     ledger and the complete transfer log in deterministic order."""
-    _, final, per_rule = _discharge(analyze(source), ruleset)
-    log = [Transfer(rule.rule_id, src, dst, rule.amount)
-           for rule, pairs in per_rule for src, dst in pairs]
-    return final, log
+    tags = analyze(source).tags
+    den, _, final, per_rule = _discharge(tags, ruleset)
+    keys = _element_keys(tags)
+    values = {num: Fraction(num, den) for num in set(final)}  # one per numerator
+    log = [Transfer(rule.rule_id, keys[i], keys[j], rule.amount)
+           for rule, pairs in per_rule for i, j in pairs]
+    return ChargeLedger({key: values[num] for key, num in zip(keys, final)}), log
+
+
+def _element_keys(tags: StructureTags) -> list[ElementKey]:
+    """Each element's ledger key, by position: vertices, then faces."""
+    return [("v", v) for v in tags.degree] + [("f", i) for i in range(len(tags.face_degree))]
+
+
+def _initial(tags: StructureTags) -> list[int]:
+    """Each element's initial charge, by position."""
+    return [2 * d - 6 for d in tags.degree.values()] + [d - 6 for d in tags.face_degree]
 
 
 def _discharge(
-    analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
-) -> tuple[ChargeLedger, ChargeLedger, list[tuple[Rule, list[tuple[ElementKey, ElementKey]]]]]:
-    """The initial and final ledgers, and each rule in order with the
-    (source, target) keys of its transfers."""
-    initial = initial_charges(analysis)
-    # every charge is a numerator over den, so each transfer is two integer
-    # additions of its rule's step; initial charges are integers
+    tags: StructureTags, ruleset: DischargeRuleSet
+) -> tuple[int, list[int], list[int], list[tuple[Rule, list[tuple[int, int]]]]]:
+    """The exact core, on element positions: the common denominator den of
+    the rule amounts, the initial charges, the final charges as numerators
+    over den, and each rule in order with the (source, target) positions of
+    its transfers."""
     den = math.lcm(*{rule.amount.denominator for rule in ruleset.rules})
-    nums = {key: q.numerator * den for key, q in initial.charges.items()}
+    initial = _initial(tags)
+    final = [q * den for q in initial]
+    n = len(tags.degree)
+    position = {"v": dict(zip(tags.degree, range(n))), "f": range(n, len(final))}
     per_rule = []
     for rule in ruleset.rules:
+        source, targets, target = rule.relation
+        degree = tags.degree if source == "v" else tags.face_degree
+        at, to = position[source], position[target]
+        lo, hi = rule.min_degree, math.inf if rule.max_degree is None else rule.max_degree
         step = rule.amount.numerator * (den // rule.amount.denominator)
-        pairs = list(_rule_pairs(analysis.tags, rule))
-        for src, dst in pairs:
-            nums[src] -= step
-            nums[dst] += step
+        pairs = []
+        for s, ts in getattr(tags, targets).items():
+            if ts and lo <= degree[s] <= hi:
+                i = at[s]
+                final[i] -= step * len(ts)
+                for j in map(to.__getitem__, ts):
+                    final[j] += step
+                    pairs.append((i, j))
         per_rule.append((rule, pairs))
-    values = {num: Fraction(num, den) for num in set(nums.values())}  # one per numerator
-    charges = {key: values[num] for key, num in nums.items()}
-    return initial, ChargeLedger(charges), per_rule
+    return den, initial, final, per_rule
 
 
 def verify_conservation(initial: ChargeLedger, final: ChargeLedger) -> bool:
@@ -511,11 +512,11 @@ ALL_VALIDATORS = (
 
 # % templates of the audit's v1 text, by element kind where it shows, with
 # members in sort_keys order. Ids, rule ids and the ruleset name fill their
-# slots encoded; charges and amounts are str(Fraction), which needs no
-# escaping.
+# slots encoded; initial charges are integers, and final charges and amounts
+# are str(Fraction), which needs no escaping.
 _KIND = {"v": '"kind": "vertex"', "f": '"kind": "face"'}
 _ELEMENT = {
-    k: block(['"degree": %d', '"final": "%s"', '"id": %s', '"initial": "%s"', kind,
+    k: block(['"degree": %d', '"final": "%s"', '"id": %s', '"initial": "%d"', kind,
               '"transfers": %s', *(['"walk": %s'] if k == "f" else [])], 2, "{}")
     for k, kind in _KIND.items()
 }
@@ -527,7 +528,7 @@ _RECEIVED_FROM = {k: block(['"amount": "%s"', '"received_from": ' + end, '"rule"
                   for k, end in _END.items()}
 _NEGATIVE = {k: block(['"charge": "%s"', '"id": %s', kind], 2, "{}") for k, kind in _KIND.items()}
 _AUDIT = block(['"conservation": %s', '"elements": %s', '"final_total": "%s"',
-                '"format": "defcol-audit v1"', '"initial_total": "%s"', '"negative": %s',
+                '"format": "defcol-audit v1"', '"initial_total": "%d"', '"negative": %s',
                 '"ruleset": %s', '"validators": %s'], 0, "{}")
 # The validators section, which the audit and `check lemmas` both write at
 # depth 1: one template per report, and each item fills its shape's template.
@@ -554,36 +555,35 @@ def _validators_json(analysis: EmbeddingAnalysis) -> str:
 def audit_json(source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRuleSet) -> str:
     """Full machine-readable audit as v1 text: charges, transfers,
     conservation, negative elements, and the three structural validator
-    verdicts. The ledgers, the transfer log and the validator reports fill
-    the templates directly."""
+    verdicts. The core's integer charges and transfer positions and the
+    validator reports fill the templates directly."""
     analysis = analyze(source)
     tags = analysis.tags
-    initial, final, per_rule = _discharge(analysis, ruleset)
-    # final is built over initial's keys, so equal totals are conservation
-    initial_total, final_total = initial.total(), final.total()
-    ids = {key: encode_basestring_ascii(str(key[1])) for key in initial.charges}
-    sides: dict[ElementKey, list[str]] = {key: [] for key in initial.charges}
+    den, initial, final, per_rule = _discharge(tags, ruleset)
+    n = len(tags.degree)
+    ids = [encode_basestring_ascii(str(v)) for v in tags.degree]
+    ids += ['"%d"' % i for i in range(len(tags.face_degree))]
+    sides: list[list[str]] = [[] for _ in ids]
     for rule, pairs in per_rule:
+        sent_to, received_from = _SENT_TO[rule.relation[2]], _RECEIVED_FROM[rule.relation[0]]
         amount_text, rule_text = str(rule.amount), encode_basestring_ascii(rule.rule_id)
-        for src, dst in pairs:
-            sides[src].append(_SENT_TO[dst[0]] % (amount_text, rule_text, ids[dst]))
-            sides[dst].append(_RECEIVED_FROM[src[0]] % (amount_text, ids[src], rule_text))
-    walk_ids = {v: ids["v", v] for v in tags.degree}
-    elements = []
-    for (key, q), final_q in zip(initial.charges.items(), final.charges.values()):
-        kind, ident = key
-        transfers = block(sides[key], 3)
-        if kind == "v":
-            fields = (tags.degree[ident], final_q, ids[key], q, transfers)
-        else:
-            walk = block([walk_ids[u] for u in tags.face_walk_vertices[ident]], 3)
-            fields = (tags.face_degree[ident], final_q, ids[key], q, transfers, walk)
-        elements.append(_ELEMENT[kind] % fields)
-    negative = [_NEGATIVE[key[0]] % (q, ids[key]) for key, q in negative_elements(final)]
+        for i, j in pairs:
+            sides[i].append(sent_to % (amount_text, rule_text, ids[j]))
+            sides[j].append(received_from % (amount_text, ids[i], rule_text))
+    texts = {num: str(Fraction(num, den)) for num in set(final)}  # one per numerator
+    elements = [_ELEMENT["v"] % (d, texts[final[p]], ids[p], initial[p], block(sides[p], 3))
+                for p, d in enumerate(tags.degree.values())]
+    walk_ids = dict(zip(tags.degree, ids))
+    for p, (d, walk) in enumerate(zip(tags.face_degree, tags.face_walk_vertices), n):
+        elements.append(_ELEMENT["f"] % (d, texts[final[p]], ids[p], initial[p],
+                                         block(sides[p], 3), block([walk_ids[u] for u in walk], 3)))
+    negative = [_NEGATIVE["v" if p < n else "f"] % (texts[num], ids[p])
+                for p, num in enumerate(final) if num < 0]
+    initial_total, final_total = sum(initial), sum(final)
     return _AUDIT % (
-        "true" if initial_total == final_total else "false",
+        "true" if initial_total * den == final_total else "false",
         block(elements, 1),
-        final_total,
+        Fraction(final_total, den),
         initial_total,
         block(negative, 1),
         encode_basestring_ascii(ruleset.name),

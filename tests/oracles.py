@@ -11,14 +11,17 @@ as it was before it summed on integers (one Fraction product per element
 and rule), the good 2-vertex neighbor lists as they were before they
 were built outward from each good 2-vertex, and the CNF encoder and DIMACS
 writer as they were before counter variables were numbered by arithmetic
-and clauses written through per-width templates, and the `.graph`/`.emb`
-loaders as they were before they read integer fields with bare `int()`.
+and clauses written through per-width templates, the `.graph`/`.emb`
+loaders as they were before they read integer fields with bare `int()`,
+and `initial_charges`/`apply_ruleset` as they were before discharging
+worked in integers on element positions (`*_by_fractions`).
 None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
 was written as text, and the `check lemmas` report as the CLI wrote it
 before the validators section was written through templates: they reuse
-the package's analysis and discharging, so that only the rendering and the
-validators differ. Their validators are the package's as they were before
+the package's analysis and its ledger and transfer records, and discharge
+through the `*_by_fractions` copies, so that the rendering, the
+discharging and the validators differ. Their validators are the package's as they were before
 the judges yielded rows: each item a `ValidationItem` with a detail dict,
 rolled up and written by `to_json`. The old loaders build the package's
 `Graph` and `PlaneEmbedding`, so that only the reading of the text differs.
@@ -52,11 +55,14 @@ from defcol.discharging import (
     DEGENERATE,
     FAIL,
     PASS,
+    ChargeLedger,
+    DischargeRuleSet,
+    ElementKey,
     EmbeddingAnalysis,
+    Rule,
     StructureTags,
+    Transfer,
     analyze,
-    apply_ruleset,
-    initial_charges,
     negative_elements,
 )
 from defcol.embedding import certify_faces
@@ -388,6 +394,72 @@ def dimacs_by_join(num_vars, clauses, comments):
     return "\n".join(lines) + "\n"
 
 
+# -- the ledgers, as discharging built them before its core worked in
+# integers on element positions: keyed by ("v", id)/("f", i), each rule
+# selecting its sources through `Rule.selects_degree`, here a function
+
+
+def selects_degree_by_fractions(rule, d: int) -> bool:
+    if d < rule.min_degree:
+        return False
+    return rule.max_degree is None or d <= rule.max_degree
+
+
+def initial_charges_by_fractions(source: PlaneEmbedding | EmbeddingAnalysis) -> ChargeLedger:
+    """Charge 2d(v) - 6 per vertex and d(f) - 6 per face; total is -12."""
+    tags = analyze(source).tags
+    charges: dict[ElementKey, Fraction] = {}
+    for v, d in tags.degree.items():
+        charges[("v", v)] = Fraction(2 * d - 6)
+    for i, d in enumerate(tags.face_degree):
+        charges[("f", i)] = Fraction(d - 6)
+    return ChargeLedger(charges)  # vertices, then faces
+
+
+def _rule_pairs_by_fractions(tags: StructureTags, rule: Rule) -> Iterator[tuple[ElementKey, ElementKey]]:
+    source, targets, target = rule.relation
+    degree = tags.degree if source == "v" else tags.face_degree
+    for s, ts in getattr(tags, targets).items():
+        if selects_degree_by_fractions(rule, degree[s]):
+            src = (source, s)
+            for t in ts:
+                yield src, (target, t)
+
+
+def apply_ruleset_by_fractions(
+    source: PlaneEmbedding | EmbeddingAnalysis, ruleset: DischargeRuleSet
+) -> tuple[ChargeLedger, list[Transfer]]:
+    """Run every rule against the initial classification; returns the final
+    ledger and the complete transfer log in deterministic order."""
+    _, final, per_rule = _discharge_by_fractions(analyze(source), ruleset)
+    log = [Transfer(rule.rule_id, src, dst, rule.amount)
+           for rule, pairs in per_rule for src, dst in pairs]
+    return final, log
+
+
+def _discharge_by_fractions(
+    analysis: EmbeddingAnalysis, ruleset: DischargeRuleSet
+) -> tuple[ChargeLedger, ChargeLedger, list[tuple[Rule, list[tuple[ElementKey, ElementKey]]]]]:
+    """The initial and final ledgers, and each rule in order with the
+    (source, target) keys of its transfers."""
+    initial = initial_charges_by_fractions(analysis)
+    # every charge is a numerator over den, so each transfer is two integer
+    # additions of its rule's step; initial charges are integers
+    den = math.lcm(*{rule.amount.denominator for rule in ruleset.rules})
+    nums = {key: q.numerator * den for key, q in initial.charges.items()}
+    per_rule = []
+    for rule in ruleset.rules:
+        step = rule.amount.numerator * (den // rule.amount.denominator)
+        pairs = list(_rule_pairs_by_fractions(analysis.tags, rule))
+        for src, dst in pairs:
+            nums[src] -= step
+            nums[dst] += step
+        per_rule.append((rule, pairs))
+    values = {num: Fraction(num, den) for num in set(nums.values())}  # one per numerator
+    charges = {key: values[num] for key, num in nums.items()}
+    return initial, ChargeLedger(charges), per_rule
+
+
 # -- the structural validators, as they were before the judges yielded rows
 
 
@@ -542,8 +614,8 @@ def build_audit_by_dicts(emb, ruleset):
     negative elements, and the three structural validator verdicts."""
     analysis = analyze(emb)
     tags = analysis.tags
-    initial = initial_charges(analysis)
-    final, log = apply_ruleset(analysis, ruleset)
+    initial = initial_charges_by_fractions(analysis)
+    final, log = apply_ruleset_by_fractions(analysis, ruleset)
     # final is built over initial's keys, so equal totals are conservation
     initial_total, final_total = initial.total(), final.total()
     per_element = {}

@@ -37,7 +37,16 @@ from defcol import (
     verify_conservation,
 )
 from defcol.cli import main
-from defcol.discharging import audit_json, lemmas_json
+from defcol.discharging import (
+    BAD2_INCIDENT,
+    GOOD2_ADJACENT,
+    THREE_FACE_INCIDENT,
+    THREE_FACE_PENDANT,
+    DischargeRuleSet,
+    Rule,
+    audit_json,
+    lemmas_json,
+)
 
 from corpus import (
     bowtie_on_opaque_ids,
@@ -54,10 +63,12 @@ from corpus import (
 )
 from oracles import (
     VALIDATORS_BY_ITEMS,
+    apply_ruleset_by_fractions,
     boundary_degeneracy,
     build_audit_by_dicts,
     discharge_by_fractions,
     good_two_neighbors_by_comprehension,
+    initial_charges_by_fractions,
     lemmas_by_dicts,
     replay_transfer_log,
 )
@@ -306,15 +317,29 @@ class TestIntegerSums:
         assert ChargeLedger({}).total() == Fraction(0)
 
 
+# Rules the three rulesets lack: a window open from degree 0, so 2-vertices
+# send; a window no source with a target reaches, its max_degree of 0 a
+# bound and not an open end; a relation whose every source has no target on
+# a hexagonal patch; and a face-sourced negative amount.
+HAND_MADE = DischargeRuleSet("hand_made", (
+    Rule("open", GOOD2_ADJACENT, Fraction(1, 3), 0, None),
+    Rule("nothing", THREE_FACE_INCIDENT, Fraction(7, 4), 0, 0),
+    Rule("pendant", THREE_FACE_PENDANT, Fraction(2, 5), 0, None),
+    Rule("faces", BAD2_INCIDENT, Fraction(-1, 2), 3),
+))
+
+
 class TestAgainstPreviousLoops:
-    """The integer discharging loop and the outward good 2-vertex lists
-    give the ledgers and tags of the Fraction loop and the comprehension
-    they replaced, values and order alike."""
+    """The integer core on element positions and the outward good 2-vertex
+    lists give the ledgers, logs, totals and tags of the loops and the
+    comprehension they replaced, values and order alike: the keyed ledger
+    loop of the `*_by_fractions` copies, and the Fraction loop before it.
+    The corpus holds hub_gadget(1), triangle_link() and K3."""
 
     FIXED = [emb for _, emb in CORPUS] + [non_1k(k).embedding for k in range(1, 7)] + [
-        fused_hexagons(40)
+        fused_hexagons(40), PlaneEmbedding(Graph([0]), {0: []})
     ]
-    FIXED_IDS = CORPUS_IDS + [f"non_1k_{k}" for k in range(1, 7)] + ["hex40"]
+    FIXED_IDS = CORPUS_IDS + [f"non_1k_{k}" for k in range(1, 7)] + ["hex40", "one_vertex"]
 
     @staticmethod
     def check(emb, rulesets):
@@ -323,21 +348,41 @@ class TestAgainstPreviousLoops:
         expected = good_two_neighbors_by_comprehension(emb.graph, good_2_vertices(tags))
         assert list(tags.good_two_neighbors.items()) == list(expected.items())
         assert tags.beta == {v: len(us) for v, us in expected.items()}
+        initial, expected_initial = initial_charges(analysis), initial_charges_by_fractions(analysis)
+        assert list(initial.charges.items()) == list(expected_initial.charges.items())
+        assert initial.total() == expected_initial.total()
         for ruleset in rulesets:
-            final, _ = apply_ruleset(analysis, ruleset)
+            final, log = apply_ruleset(analysis, ruleset)
+            expected_final, expected_log = apply_ruleset_by_fractions(analysis, ruleset)
+            assert list(final.charges.items()) == list(expected_final.charges.items())
+            assert log == expected_log and final.total() == expected_final.total()
             oracle = discharge_by_fractions(tags, ruleset)
             assert list(final.charges.items()) == list(oracle.items())
             assert all(type(q) is Fraction for q in final.charges.values())
 
     @pytest.mark.parametrize("emb", FIXED, ids=FIXED_IDS)
     def test_fixed_embeddings(self, emb):
-        self.check(emb, (RULES_44, RULES_35, RULES_29))
+        self.check(emb, (RULES_44, RULES_35, RULES_29, HAND_MADE))
 
     @settings(max_examples=150, deadline=None)
     @given(emb=c4c5_free_rotations(max_n=9), ruleset=rulesets())
     def test_drawn_rotations(self, emb, ruleset):
         assume(analyze(emb).defect is None)
         self.check(emb, (RULES_44, RULES_35, RULES_29, ruleset))
+
+    def test_hand_made_rules_meet_their_cases(self):
+        sent = {rule.rule_id: 0 for rule in HAND_MADE.rules}
+        for emb in self.FIXED:
+            for t in apply_ruleset(emb, HAND_MADE)[1]:
+                sent[t.rule_id] += 1
+        assert sent["open"] and sent["pendant"] and sent["faces"] and not sent["nothing"]
+        # "nothing" has sources with targets, all outside its window
+        assert any(any(classify(emb).incident_three_faces.values()) for emb in self.FIXED)
+        tags = classify(fused_hexagons(3))
+        assert not any(tags.pendant_faces.values())
+        _, log = apply_ruleset(fused_hexagons(3), HAND_MADE)
+        assert {t.rule_id for t in log} == {"open"}
+        assert 2 in {tags.degree[t.source[1]] for t in log}
 
 
 class TestVerifyConservation:
@@ -559,15 +604,15 @@ class TestAuditTextAgainstDicts:
         assert build_audit(emb, RULESETS[ruleset])["elements"][1]["walk"] == []
         assert_audit_text_is_dict_builders(emb, RULESETS[ruleset])
 
-    def test_no_negative_element(self, monkeypatch):
-        # charges always sum to -12, so only a patched ledger reader can
-        # leave the negative list empty
-        import oracles
-
-        for module in (discharging, oracles):
-            monkeypatch.setattr(module, "negative_elements", lambda ledger: [])
-        assert build_audit(NON_1K[1], RULES_35)["negative"] == []
-        assert_audit_text_is_dict_builders(NON_1K[1], RULES_35)
+    def test_no_negative_element(self):
+        # charges always sum to -12, so only a replaced classification can
+        # leave no element negative: a hexagon whose vertices claim degree
+        # 7 holds 8 on each, and sends each good 2-neighbor what it receives
+        analysis = reclassified(cycle_embedding(6), degree=dict.fromkeys(range(6), 7))
+        doc = build_audit(analysis, RULES_35)
+        assert doc["negative"] == [] and doc["initial_total"] == "48"
+        assert {t["rule"] for e in doc["elements"] for t in e["transfers"]} == {"R7"}
+        assert_audit_text_is_dict_builders(analysis, RULES_35)
 
 
 VALIDATORS = (check_bad2_face_degrees, check_big_face_bad2_capacity, check_vertex_profiles)
@@ -723,17 +768,31 @@ class TestSharedAnalysis:
         assert json.loads(capsys.readouterr().out)["kind"] == "lemmas"
         assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
 
-    def test_each_ledger_summed_once_per_audit(self, monkeypatch):
-        totals = []
-        original = ChargeLedger.total
+    def test_audit_builds_no_ledger_no_transfer_and_no_fraction_per_element(self, monkeypatch):
+        built = {"ChargeLedger": 0, "Transfer": 0, "Fraction": 0}
 
-        def counted(ledger):
-            totals.append(ledger)
-            return original(ledger)
+        def counting(name):
+            original = getattr(discharging, name)
 
-        monkeypatch.setattr(ChargeLedger, "total", counted)
-        build_audit(NON_1K[1], RULES_44)
-        assert len(totals) == 2
+            def counted(*args):
+                built[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(discharging, name, counted)
+
+        for name in built:
+            counting(name)
+        for ruleset in (RULES_44, RULES_35, RULES_29):
+            final, _ = apply_ruleset_by_fractions(NON_1K[1], ruleset)
+            built["Fraction"] = 0
+            audit_json(NON_1K[1], ruleset)
+            # one per distinct final charge, and one for the final total
+            assert built == {"ChargeLedger": 0, "Transfer": 0,
+                             "Fraction": len(set(final.charges.values())) + 1}
+            assert built["Fraction"] < len(final.charges) // 10
+        # the public API still builds them, through the counted constructors
+        apply_ruleset(NON_1K[1], RULES_35)
+        assert built["ChargeLedger"] == 1 and built["Transfer"] > 0
 
     def test_rules_never_scan_for_cycles(self, calls):
         classify(NON_1K[1])
