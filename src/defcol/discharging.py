@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Iterator
 
-from .embedding import DISCONNECTED, NOT_GENUS_ZERO, Dart, PlaneEmbedding, certify_faces
+from .embedding import DISCONNECTED, NOT_GENUS_ZERO, PlaneEmbedding, _face_walks
 from .graphs import Graph, Vertex, is_c4c5_free
 from .record import Record
 from .report import _SCALAR_WRITERS, block, dumps
@@ -163,7 +163,7 @@ RULESETS: dict[str, DischargeRuleSet] = {
 }
 
 
-# classify's error per certify_faces defect; the validators report the defect
+# classify's error per face-walk defect; the validators report the defect
 _CLASSIFY_ERRORS = {
     DISCONNECTED: "embedding graph must be connected",
     NOT_GENUS_ZERO: "embedding fails the Euler check (not genus zero)",
@@ -183,7 +183,7 @@ class EmbeddingAnalysis(Record):
     __hash__ = object.__hash__
 
     def __init__(self, emb: PlaneEmbedding,
-                 defect: str | None,  # from certify_faces; None when Euler-certified
+                 defect: str | None,  # from the face walk; None when Euler-certified
                  classified: StructureTags | None):
         self._set(locals())
 
@@ -208,8 +208,8 @@ def analyze(source: PlaneEmbedding | EmbeddingAnalysis) -> EmbeddingAnalysis:
     through unchanged."""
     if isinstance(source, EmbeddingAnalysis):
         return source
-    faces, defect = certify_faces(source)
-    tags = None if defect else _classify(source.graph, faces)
+    walks, defect = _face_walks(source)
+    tags = None if defect else _classify(source.graph, walks)
     return EmbeddingAnalysis(source, defect, tags)
 
 
@@ -218,70 +218,65 @@ def classify(emb: PlaneEmbedding) -> StructureTags:
     return analyze(emb).tags
 
 
-def _classify(g: Graph, faces: list[tuple[Dart, ...]]) -> StructureTags:
-    degree = {v: g.degree(v) for v in g.vertices}
-    face_degree = tuple(map(len, faces))
-    face_walk_vertices = tuple(tuple(u for u, _ in walk) for walk in faces)
-    three_faces = tuple(i for i, d in enumerate(face_degree) if d == 3)
+def _classify(g: Graph, walks: list[list[int]]) -> StructureTags:
+    """The tags of an Euler-certified embedding whose faces are `walks` of
+    vertex positions. Vertex ids enter only where the tags key or list them."""
+    ids, adj = g.vertices, g.adjacency
+    at = ids.__getitem__
+    degree = list(map(len, adj))
+    face_degree = tuple(map(len, walks))
+    three_faces = [i for i, d in enumerate(face_degree) if d == 3]
 
     # face index at each corner, one per walk occurrence: d entries at degree d
-    corners: dict[Vertex, list[int]] = {v: [] for v in g.vertices}
-    for i, walk in enumerate(face_walk_vertices):
+    corners: list[list[int]] = [[] for _ in adj]
+    for i, walk in enumerate(walks):
         for v in walk:
             corners[v].append(i)
-    incident_three = {
-        v: tuple(i for i in cs if face_degree[i] == 3) for v, cs in corners.items()
-    }
+    incident_three: list[list[int]] = [[] for _ in adj]
+    for i in three_faces:
+        for v in walks[i]:
+            incident_three[v].append(i)
 
-    bad_two = frozenset(
-        v for v in g.vertices if degree[v] == 2 and incident_three[v]
-    )
-    good_two = frozenset(
-        v for v in g.vertices if degree[v] == 2 and not incident_three[v]
-    )
+    twos = [v for v, d in enumerate(degree) if d == 2]
+    bad_two = {v for v in twos if incident_three[v]}
     # Every 2-vertex on a 3-face is bad, so these lists also name the bad
     # 3-faces and their 2-vertices.
     face_bad_two = {
-        i: tuple(u for u in face_walk_vertices[i] if u in bad_two)
+        i: tuple(at(u) for u in walks[i] if u in bad_two)
         for i in sorted({i for v in bad_two for i in corners[v]})
     }
-    # Each good 2-vertex joins its neighbors' lists in vertex order, which is
-    # the ascending index order of ordered_neighbors.
-    good_two_around: list[list[Vertex]] = [[] for _ in g.vertices]
-    for v, around in zip(g.vertices, g.adjacency):
-        if v in good_two:
-            for i in around:
-                good_two_around[i].append(v)
-    good_two_neighbors = dict(zip(g.vertices, map(tuple, good_two_around)))
+    # Each good 2-vertex joins its neighbors' lists in vertex order.
+    good_two_around: list[list[Vertex]] = [[] for _ in adj]
+    for v in twos:
+        if v not in bad_two:
+            for i in adj[v]:
+                good_two_around[i].append(at(v))
 
-    pendant: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
+    # faces ascend, so a check of its last entry keeps each list repeat-free
+    pendant: list[list[int]] = [[] for _ in adj]
     for i in three_faces:
-        on_face = set(face_walk_vertices[i])
-        for w in face_walk_vertices[i]:
+        walk = walks[i]
+        for w in walk:
             if degree[w] != 3:
                 continue
-            for x in g.ordered_neighbors(w):
-                if x not in on_face:
-                    pendant[x].add(i)
-    pendant_faces = {v: tuple(sorted(pendant[v])) for v in g.vertices}
-
-    alpha = {v: len(incident_three[v]) for v in g.vertices}
-    beta = {v: len(us) for v, us in good_two_neighbors.items()}
-    gamma = {v: len(pendant_faces[v]) for v in g.vertices}
+            for x in adj[w]:
+                listed = pendant[x]
+                if x not in walk and (not listed or listed[-1] != i):
+                    listed.append(i)
 
     return StructureTags(
-        degree=degree,
+        degree=dict(zip(ids, degree)),
         face_degree=face_degree,
-        face_walk_vertices=face_walk_vertices,
-        corners={v: tuple(cs) for v, cs in corners.items()},
-        bad_two_vertices=bad_two,
-        incident_three_faces=incident_three,
-        pendant_faces=pendant_faces,
-        good_two_neighbors=good_two_neighbors,
+        face_walk_vertices=tuple(tuple(map(at, walk)) for walk in walks),
+        corners=dict(zip(ids, map(tuple, corners))),
+        bad_two_vertices=frozenset(map(at, sorted(bad_two))),  # filled in vertex order
+        incident_three_faces=dict(zip(ids, map(tuple, incident_three))),
+        pendant_faces=dict(zip(ids, map(tuple, pendant))),
+        good_two_neighbors=dict(zip(ids, map(tuple, good_two_around))),
         face_bad_two=face_bad_two,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
+        alpha=dict(zip(ids, map(len, incident_three))),
+        beta=dict(zip(ids, map(len, good_two_around))),
+        gamma=dict(zip(ids, map(len, pendant))),
     )
 
 

@@ -2,7 +2,8 @@
 
 An embedding never infers planarity: the rotation is supplied (or produced
 by a generator) and certified after the fact through Euler's formula
-V - E + F = 2 on the traced faces.
+V - E + F = 2 on the traced faces. The rotation is kept in index space; one
+face walk on integer darts serves the tracer, the certificate and the audit.
 """
 
 from __future__ import annotations
@@ -33,26 +34,77 @@ class PlaneEmbedding:
     __slots__ = ("graph", "_rotation")
 
     def __init__(self, graph: Graph, rotation: Mapping[Vertex, Sequence[Vertex]]):
+        get = graph._index.__getitem__
+        if len(rotation) == len(graph.vertices):
+            try:  # KeyError: a vertex without a rotation, or a foreign neighbor
+                _fill(self, graph, tuple(tuple(map(get, rotation[v])) for v in graph.vertices))
+                return
+            except (KeyError, ValueError):
+                pass
+        # the bulk check failed: word the first fault, vertex by vertex
         if set(rotation) != set(graph.vertices):
             raise ValueError("rotation must list every vertex exactly once")
-        rot: dict[Vertex, tuple[Vertex, ...]] = {}
-        at = graph.vertices.__getitem__
         for v, ns in zip(graph.vertices, graph.adjacency):
             around = tuple(rotation[v])
             listed = set(around)
             if len(around) != len(listed):
                 raise ValueError(f"rotation at {v!r} repeats a neighbor")
-            if listed != set(map(at, ns)):
+            if listed != set(map(graph.vertices.__getitem__, ns)):
                 raise ValueError(f"rotation at {v!r} does not match its neighbors")
-            rot[v] = around
-        self.graph = graph
-        self._rotation = rot
 
     def rotation_of(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self._rotation[v]
+        g = self.graph
+        return tuple(map(g.vertices.__getitem__, self._rotation[g.index_of(v)]))
 
     def __repr__(self) -> str:
         return f"PlaneEmbedding({self.graph!r})"
+
+
+def _fill(emb: PlaneEmbedding, graph: Graph, rot: tuple) -> PlaneEmbedding:
+    """emb with the index rotation rot on graph; ValueError unless each
+    rot[i], sorted, is graph's ascending, repeat-free adjacency at i."""
+    if tuple(map(tuple, map(sorted, rot))) != graph.adjacency:
+        raise ValueError("a rotation that is not its vertex's neighbors")
+    emb.graph = graph
+    emb._rotation = rot
+    return emb
+
+
+DISCONNECTED = "graph is disconnected"
+NOT_GENUS_ZERO = "embedding fails the Euler check"
+
+
+def _face_walks(emb: PlaneEmbedding) -> tuple[list[list[int]], str | None]:
+    """Each face of `trace_faces` as the vertex positions of its darts' tails,
+    and the `certify_faces` defect. Dart (u, w) is the int u*n + w, so darts
+    ascend in vertex order, then neighbor order."""
+    g = emb.graph
+    if not is_connected(g):
+        return [], DISCONNECTED
+    n = g.vertex_count
+    if n == 1:
+        return [[]], None  # a lone vertex still bounds the one outer face
+    # the dart after each dart on its face: (u, w) is followed by (w, x),
+    # where x follows u around w; each walk empties its darts
+    after: dict[int, int] = {}
+    for w, around in enumerate(emb._rotation):
+        u = around[-1]
+        wn = w * n
+        for x in around:
+            after[u * n + w] = wn + x
+            u = x
+    walks = []
+    pop = after.pop
+    for start in sorted(after):
+        cur = pop(start, None)
+        if cur is None:
+            continue
+        walk = [start // n]
+        while cur != start:
+            walk.append(cur // n)
+            cur = pop(cur)
+        walks.append(walk)
+    return walks, None if n - g.edge_count + len(walks) == 2 else NOT_GENUS_ZERO
 
 
 def trace_faces(emb: PlaneEmbedding) -> list[tuple[Dart, ...]]:
@@ -64,51 +116,20 @@ def trace_faces(emb: PlaneEmbedding) -> list[tuple[Dart, ...]]:
     is its walk length: a cut vertex crossed twice contributes two
     incidences, and a bridge contributes both of its directions.
     """
-    g = emb.graph
-    if not is_connected(g):
+    faces, defect = certify_faces(emb)
+    if defect == DISCONNECTED:
         raise ValueError("face tracing requires a connected graph")
-    if g.vertex_count == 1:
-        return [()]  # a lone vertex still bounds the one outer face
-    # the dart after each dart on its face: (u, w) is followed by (w, x),
-    # where x follows u around w; each walk empties its darts
-    after: dict[Dart, Dart] = {}
-    for w, around in emb._rotation.items():
-        u = around[-1]
-        for x in around:
-            after[u, w] = (w, x)
-            u = x
-    faces = []
-    at = g.vertices.__getitem__
-    for u, ns in zip(g.vertices, g.adjacency):
-        for w in map(at, ns):
-            start = (u, w)
-            cur = after.pop(start, None)
-            if cur is None:
-                continue
-            walk = [start]
-            while cur != start:
-                walk.append(cur)
-                cur = after.pop(cur)
-            faces.append(tuple(walk))
     return faces
-
-
-DISCONNECTED = "graph is disconnected"
-NOT_GENUS_ZERO = "embedding fails the Euler check"
 
 
 def certify_faces(emb: PlaneEmbedding) -> tuple[list[tuple[Dart, ...]], str | None]:
     """Traced faces and the first defect barring a genus-zero certificate:
     DISCONNECTED (no faces are traced), NOT_GENUS_ZERO (V - E + F != 2), or
     None when the embedding is certified."""
-    g = emb.graph
-    try:
-        faces = trace_faces(emb)  # checks connectivity first
-    except ValueError:
-        return [], DISCONNECTED
-    if g.vertex_count - g.edge_count + len(faces) != 2:
-        return faces, NOT_GENUS_ZERO
-    return faces, None
+    walks, defect = _face_walks(emb)
+    at = emb.graph.vertices.__getitem__
+    ids = [list(map(at, walk)) for walk in walks]
+    return [tuple(zip(walk, walk[1:] + walk[:1])) for walk in ids], defect
 
 
 def check_planarity_certificate(emb: PlaneEmbedding) -> bool:
@@ -117,7 +138,7 @@ def check_planarity_certificate(emb: PlaneEmbedding) -> bool:
     False means the rotation system realizes a higher-genus surface (as any
     rotation of a nonplanar graph must).
     """
-    _, defect = certify_faces(emb)
+    _, defect = _face_walks(emb)
     if defect == DISCONNECTED:
         raise ValueError("planarity certificate requires a connected graph")
     return defect is None
@@ -153,29 +174,31 @@ def embedding_from_positions(
 
 
 def dump_embedding(emb: PlaneEmbedding) -> str:
-    g = emb.graph
-    idx = g.index_of
-    lines = [EMBEDDING_HEADER, *_edgelist_lines(g)]
-    for v in g.vertices:
-        around = " ".join(str(idx(w)) for w in emb.rotation_of(v))
-        lines.append(f"rot {idx(v)}: {around}".rstrip())
+    lines = [EMBEDDING_HEADER, *_edgelist_lines(emb.graph)]
+    for v, around in enumerate(emb._rotation):
+        lines.append(f"rot {v}: {' '.join(map(str, around))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _parse_embedding(lines: list[str], to_int: IntReader | None) -> tuple[Graph, dict]:
-    """The graph and rotation of an embedding document's content lines. The
-    bulk pass takes only `rot` lines in vertex order, which fixes their shape."""
+def _parse_embedding(lines: list[str], to_int: IntReader | None) -> PlaneEmbedding:
+    """The embedding of a document's content lines. The bulk pass takes only
+    `rot` lines in vertex order, which fixes their shape, straight into the
+    index rotation on the graph's vertex ints; the constructor words faults."""
     g, leftover = parse_graph_lines(lines, to_int)
-    rotation: dict[Vertex, list[Vertex]] = {}
     if to_int is None:
-        degrees = list(map(len, g.adjacency))
+        order, degrees = g.vertices, list(map(len, g.adjacency))
         shape = "\n".join(map("rot :".__add__, map(" ".__mul__, degrees)))
-        fields = iter(_bulk_ints("\n".join(leftover), shape))
+        fields = _bulk_ints("\n".join(leftover), shape)
+        if max(fields, default=-1) >= len(order):
+            raise ValueError("a rotation field out of range")
+        fields = map(order.__getitem__, fields)
+        rot = []
         for v, d in enumerate(degrees):  # the shape gives line v 1 + d fields
-            if next(fields, None) != v:
+            if next(fields) != v:
                 raise ValueError("rotation lines out of vertex order")
-            rotation[v] = list(islice(fields, d))
-        return g, rotation
+            rot.append(tuple(islice(fields, d)))
+        return _fill(PlaneEmbedding.__new__(PlaneEmbedding), g, tuple(rot))
+    rotation: dict[Vertex, list[Vertex]] = {}
     for line in leftover:
         parts = line.split()
         if parts[0] != "rot":
@@ -189,8 +212,8 @@ def _parse_embedding(lines: list[str], to_int: IntReader | None) -> tuple[Graph,
     missing = [v for v in g.vertices if v not in rotation]
     if missing:
         raise ValueError(f"no rotation record for vertex {missing[0]}")
-    return g, rotation
+    return PlaneEmbedding(g, rotation)
 
 
 def load_embedding(text: str) -> PlaneEmbedding:
-    return PlaneEmbedding(*_read_document(text, _parse_embedding))
+    return _read_document(text, _parse_embedding)

@@ -439,8 +439,8 @@ def parse_graph_lines(lines: list[str], to_int: IntReader | None) -> tuple[Graph
     labels: dict[int, str] = {}
     leftover = []
     for line in lines[1 + m :]:
-        parts = line.split()
-        if parts[0] == "label":
+        parts = line.split() if line.startswith("label") else None  # a rot line is not split
+        if parts and parts[0] == "label":
             if len(parts) != 3:
                 raise ValueError(f"malformed label line {line!r}")
             v = _bulk_ints(parts[1], "")[0] if to_int is None else to_int(parts[1])

@@ -9,6 +9,7 @@ their rotation systems come straight from the drawing.
 from __future__ import annotations
 
 import math
+import random
 
 from defcol import (
     Graph,
@@ -231,3 +232,53 @@ def corpus() -> list[tuple[str, PlaneEmbedding]]:
         ("hub_gadget_1", hub_gadget(1).embedding),
         ("non_1k_1", non_1k(1).embedding),
     ]
+
+
+def _ordered(g: Graph) -> PlaneEmbedding:
+    """g with each rotation in neighbor order."""
+    return PlaneEmbedding(g, {v: g.ordered_neighbors(v) for v in g.vertices})
+
+
+def walk_fixtures() -> list[tuple[str, PlaneEmbedding]]:
+    """The corpus and inputs outside it for checking face walks and the
+    classification: K1, K2, a path, the bowtie, the larger gadgets, a
+    40-hexagon strip, a tree on string ids, two triangles joined by a path
+    through cut vertices, K4 under a rotation that is not planar, and two
+    embeddings that are not connected, one with a lone vertex."""
+    tree = Graph([f"t{i}" for i in range(15)], [(f"t{i}", f"t{(i - 1) // 2}") for i in range(1, 15)])
+    k4 = make_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    return [
+        ("K1", _ordered(make_graph(1, []))),
+        ("K2", _ordered(make_graph(2, [(0, 1)]))),
+        ("path5", PlaneEmbedding(make_graph(5, [(i, i + 1) for i in range(4)]),
+                                 {0: [1], 1: [0, 2], 2: [3, 1], 3: [2, 4], 4: [3]})),
+        ("bowtie", bowtie_on_opaque_ids()),
+        *corpus(),
+        *((f"non_1k_{k}", non_1k(k).embedding) for k in range(2, 7)),
+        ("hex40", fused_hexagons(40)),
+        ("binary_tree", _ordered(tree)),
+        ("triangles_on_a_path", _ordered(make_graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4),
+                                                         (4, 5), (5, 6), (6, 7), (5, 7)]))),
+        ("k4_twisted", PlaneEmbedding(k4, {0: [1, 2, 3], 1: [0, 2, 3], 2: [0, 1, 3], 3: [0, 1, 2]})),
+        ("two_edges", _ordered(make_graph(4, [(0, 1), (2, 3)]))),
+        ("triangle_and_lone_vertex", _ordered(make_graph(4, [(0, 1), (1, 2), (0, 2)]))),
+    ]
+
+
+def non_canonical(text: str, seed: int = 2) -> str:
+    """An embedding document that `dump_embedding` wrote, rewritten as one
+    that describes the same embedding but takes the loaders' strict pass:
+    edge lines shuffled and every third written `v u`, `rot` lines out of
+    order, and blank and `#` lines inside the edge and rotation sections;
+    label lines stay between the edges and the rotations."""
+    header, counts, *body = text.splitlines()
+    m = int(counts.split()[1])
+    rng = random.Random(seed)
+    edges = [" ".join(reversed(line.split())) if i % 3 == 0 else line
+             for i, line in enumerate(rng.sample(body[:m], m))]
+    labels = [line for line in body[m:] if line.startswith("label")]
+    rots = rng.sample(body[m + len(labels):], len(body) - m - len(labels))
+    half, rot_half = m // 2, len(rots) // 2
+    lines = [header, counts, "", *edges[:half], "# the edges go on", "", *edges[half:],
+             *labels, *rots[:rot_half], "   ", "#rot 0: 1", *rots[rot_half:]]
+    return "\n".join(lines) + "\n"

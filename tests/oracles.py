@@ -13,8 +13,11 @@ were built outward from each good 2-vertex, and the CNF encoder and DIMACS
 writer as they were before counter variables were numbered by arithmetic
 and clauses written through per-width templates, the `.graph`/`.emb`
 loaders as they were before they read integer fields with bare `int()`,
-and `initial_charges`/`apply_ruleset` as they were before discharging
-worked in integers on element positions (`*_by_fractions`).
+`initial_charges`/`apply_ruleset` as they were before discharging
+worked in integers on element positions (`*_by_fractions`), and the face
+tracer and classifier as they were before an embedding kept its rotation in
+index space (`trace_faces_by_dart_dict`, `certify_faces_by_dart_dict` and
+`classify_by_vertex_dicts`): they read the rotation through `rotation_of`.
 None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
 was written as text, and the `check lemmas` report as the CLI wrote it
@@ -65,8 +68,8 @@ from defcol.discharging import (
     analyze,
     negative_elements,
 )
-from defcol.embedding import certify_faces
-from defcol.graphs import MAX_EDGES, MAX_VERTICES
+from defcol.embedding import DISCONNECTED, NOT_GENUS_ZERO, certify_faces
+from defcol.graphs import MAX_EDGES, MAX_VERTICES, is_connected
 
 
 def canonical_cycle(g, seq):
@@ -253,6 +256,103 @@ def boundary_degeneracy(emb, tags):
         degenerate = len({boundaries[i] for i in faces}) < len(faces)
         verdicts[v] = (why, degenerate)
     return verdicts
+
+
+def trace_faces_by_dart_dict(emb):
+    """All faces, each a cyclic walk of (u, w) darts from its lowest dart,
+    ordered by those darts, through a dict that maps each dart to the next."""
+    g = emb.graph
+    if not is_connected(g):
+        raise ValueError("face tracing requires a connected graph")
+    if g.vertex_count == 1:
+        return [()]
+    after = {}
+    for w in g.vertices:
+        around = emb.rotation_of(w)
+        u = around[-1]
+        for x in around:
+            after[u, w] = (w, x)
+            u = x
+    faces = []
+    for u in g.vertices:
+        for w in g.ordered_neighbors(u):
+            start = (u, w)
+            cur = after.pop(start, None)
+            if cur is None:
+                continue
+            walk = [start]
+            while cur != start:
+                walk.append(cur)
+                cur = after.pop(cur)
+            faces.append(tuple(walk))
+    return faces
+
+
+def certify_faces_by_dart_dict(emb):
+    """The traced faces and the genus-zero defect, as `certify_faces` gives them."""
+    g = emb.graph
+    try:
+        faces = trace_faces_by_dart_dict(emb)
+    except ValueError:
+        return [], DISCONNECTED
+    if g.vertex_count - g.edge_count + len(faces) != 2:
+        return faces, NOT_GENUS_ZERO
+    return faces, None
+
+
+def classify_by_vertex_dicts(g, faces):
+    """The StructureTags of traced dart faces, built in dicts keyed by vertex id."""
+    degree = {v: g.degree(v) for v in g.vertices}
+    face_degree = tuple(map(len, faces))
+    face_walk_vertices = tuple(tuple(u for u, _ in walk) for walk in faces)
+    three_faces = tuple(i for i, d in enumerate(face_degree) if d == 3)
+
+    corners = {v: [] for v in g.vertices}
+    for i, walk in enumerate(face_walk_vertices):
+        for v in walk:
+            corners[v].append(i)
+    incident_three = {
+        v: tuple(i for i in cs if face_degree[i] == 3) for v, cs in corners.items()
+    }
+
+    bad_two = frozenset(v for v in g.vertices if degree[v] == 2 and incident_three[v])
+    good_two = frozenset(v for v in g.vertices if degree[v] == 2 and not incident_three[v])
+    face_bad_two = {
+        i: tuple(u for u in face_walk_vertices[i] if u in bad_two)
+        for i in sorted({i for v in bad_two for i in corners[v]})
+    }
+    good_two_around = [[] for _ in g.vertices]
+    for v, around in zip(g.vertices, g.adjacency):
+        if v in good_two:
+            for i in around:
+                good_two_around[i].append(v)
+    good_two_neighbors = dict(zip(g.vertices, map(tuple, good_two_around)))
+
+    pendant = {v: set() for v in g.vertices}
+    for i in three_faces:
+        on_face = set(face_walk_vertices[i])
+        for w in face_walk_vertices[i]:
+            if degree[w] != 3:
+                continue
+            for x in g.ordered_neighbors(w):
+                if x not in on_face:
+                    pendant[x].add(i)
+    pendant_faces = {v: tuple(sorted(pendant[v])) for v in g.vertices}
+
+    return StructureTags(
+        degree=degree,
+        face_degree=face_degree,
+        face_walk_vertices=face_walk_vertices,
+        corners={v: tuple(cs) for v, cs in corners.items()},
+        bad_two_vertices=bad_two,
+        incident_three_faces=incident_three,
+        pendant_faces=pendant_faces,
+        good_two_neighbors=good_two_neighbors,
+        face_bad_two=face_bad_two,
+        alpha={v: len(incident_three[v]) for v in g.vertices},
+        beta={v: len(us) for v, us in good_two_neighbors.items()},
+        gamma={v: len(pendant_faces[v]) for v in g.vertices},
+    )
 
 
 def valid_by_neighbor_count(g, defects, coloring):

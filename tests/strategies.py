@@ -63,6 +63,18 @@ def connected_rotations(draw, max_n=7, c4c5_free=False):
     return PlaneEmbedding(g, {v: draw(st.permutations(g.ordered_neighbors(v))) for v in g.vertices})
 
 
+@st.composite
+def rotations(draw, max_n=7):
+    """Any graph on 1..max_n vertices, connected or not, with a random cyclic
+    order at every vertex; in half the draws the vertex ids are opaque
+    tuples listed in a shuffled order."""
+    g = draw(graphs(max_n=max_n))
+    if draw(st.booleans()):
+        ids = draw(st.permutations([("v", i) for i in g.vertices]))
+        g = Graph(ids, [(ids[a], ids[b]) for a, b in g.edges()])
+    return PlaneEmbedding(g, {v: draw(st.permutations(g.ordered_neighbors(v))) for v in g.vertices})
+
+
 def c4c5_free_rotations(max_n=7):
     """`connected_rotations` restricted to graphs free of 4- and 5-cycles."""
     return connected_rotations(max_n, c4c5_free=True)

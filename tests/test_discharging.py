@@ -47,6 +47,7 @@ from defcol.discharging import (
     audit_json,
     lemmas_json,
 )
+from defcol.embedding import DISCONNECTED
 
 from corpus import (
     bowtie_on_opaque_ids,
@@ -60,19 +61,22 @@ from corpus import (
     triangle_with_cycle,
     vertex7_one_triangle,
     vertex11_one_triangle,
+    walk_fixtures,
 )
 from oracles import (
     VALIDATORS_BY_ITEMS,
     apply_ruleset_by_fractions,
     boundary_degeneracy,
     build_audit_by_dicts,
+    certify_faces_by_dart_dict,
+    classify_by_vertex_dicts,
     discharge_by_fractions,
     good_two_neighbors_by_comprehension,
     initial_charges_by_fractions,
     lemmas_by_dicts,
     replay_transfer_log,
 )
-from strategies import c4c5_free_rotations, connected_rotations, rulesets
+from strategies import c4c5_free_rotations, connected_rotations, rotations, rulesets
 
 CORPUS = corpus()
 CORPUS_IDS = [n for n, _ in CORPUS]
@@ -383,6 +387,49 @@ class TestAgainstPreviousLoops:
         _, log = apply_ruleset(fused_hexagons(3), HAND_MADE)
         assert {t.rule_id for t in log} == {"open"}
         assert 2 in {tags.degree[t.source[1]] for t in log}
+
+
+WALK_FIXTURES = walk_fixtures()
+
+
+class TestClassifyAgainstVertexDicts:
+    """The classifier on vertex positions gives every StructureTags field,
+    values and key order alike, of the classifier on vertex-id dicts that it
+    replaced, fed the faces of the dart-dict tracer; on rotations that are
+    not genus zero too, and the analysis carries the same defect."""
+
+    @staticmethod
+    def check(emb):
+        faces, defect = certify_faces_by_dart_dict(emb)
+        walks, walk_defect = embedding._face_walks(emb)
+        assert walk_defect == analyze(emb).defect == defect
+        if defect == DISCONNECTED:
+            return
+        expected = classify_by_vertex_dicts(emb.graph, faces)
+        got = discharging._classify(emb.graph, walks)
+        for name in StructureTags._fields:
+            want, have = getattr(expected, name), getattr(got, name)
+            assert have == want, name
+            if isinstance(want, dict):
+                assert list(have) == list(want), name
+        assert got == expected
+        assert repr(got) == repr(expected)  # sets iterate in the same order too
+        if defect is None:
+            assert analyze(emb).tags == expected
+
+    @pytest.mark.parametrize("name,emb", WALK_FIXTURES, ids=[n for n, _ in WALK_FIXTURES])
+    def test_fixed_embeddings(self, name, emb):
+        self.check(emb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=connected_rotations(max_n=9))
+    def test_connected_rotations(self, emb):
+        self.check(emb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(emb=rotations(max_n=8))
+    def test_any_rotation(self, emb):
+        self.check(emb)
 
 
 class TestVerifyConservation:
@@ -740,33 +787,35 @@ class TestItemShapes:
 class TestSharedAnalysis:
     @pytest.fixture
     def calls(self, monkeypatch):
-        # every face trace on the discharging path goes through certify_faces,
-        # which looks trace_faces up in defcol.embedding at call time
-        counts = {"trace_faces": 0, "is_c4c5_free": 0}
+        # every face trace is one face walk: `analyze` calls it as bound in
+        # defcol.discharging, and trace_faces, certify_faces and the Euler
+        # certificate look it up in defcol.embedding at call time
+        counts = {"_face_walks": 0, "is_c4c5_free": 0}
 
-        def counting(module, name):
-            original = getattr(module, name)
+        def counting(modules, name):
+            original = getattr(modules[0], name)
 
             def counted(*args):
                 counts[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            for module in modules:
+                monkeypatch.setattr(module, name, counted)
 
-        counting(embedding, "trace_faces")
-        counting(discharging, "is_c4c5_free")
+        counting((embedding, discharging), "_face_walks")
+        counting((discharging,), "is_c4c5_free")
         return counts
 
     def test_one_trace_and_one_scan_per_audit(self, calls):
         build_audit(NON_1K[1], RULES_44)
-        assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
+        assert calls == {"_face_walks": 1, "is_c4c5_free": 1}
 
     def test_one_trace_and_one_scan_per_lemmas_call(self, calls, tmp_path, capsys):
         path = tmp_path / "non1k.emb"
         path.write_text(dump_embedding(NON_1K[1]))
         assert main(["check", "lemmas", "--embedding", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["kind"] == "lemmas"
-        assert calls == {"trace_faces": 1, "is_c4c5_free": 1}
+        assert calls == {"_face_walks": 1, "is_c4c5_free": 1}
 
     def test_audit_builds_no_ledger_no_transfer_and_no_fraction_per_element(self, monkeypatch):
         built = {"ChargeLedger": 0, "Transfer": 0, "Fraction": 0}
@@ -797,7 +846,7 @@ class TestSharedAnalysis:
     def test_rules_never_scan_for_cycles(self, calls):
         classify(NON_1K[1])
         apply_ruleset(NON_1K[1], RULES_35)
-        assert calls == {"trace_faces": 2, "is_c4c5_free": 0}
+        assert calls == {"_face_walks": 2, "is_c4c5_free": 0}
 
     @pytest.mark.parametrize(
         "emb",

@@ -1,8 +1,11 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defcol import (
+    Graph,
     PlaneEmbedding,
     check_planarity_certificate,
     dump_embedding,
@@ -11,10 +14,19 @@ from defcol import (
     make_graph,
     trace_faces,
 )
-from defcol.embedding import NOT_GENUS_ZERO, certify_faces
+from defcol.cli import main
+from defcol.embedding import DISCONNECTED, NOT_GENUS_ZERO, certify_faces
+from defcol.graphs import is_connected
 
-from corpus import bowtie_on_opaque_ids, corpus, cycle_embedding, k3_embedding, pendant_triangle
-from strategies import connected_rotations
+from corpus import (
+    corpus,
+    cycle_embedding,
+    k3_embedding,
+    pendant_triangle,
+    walk_fixtures,
+)
+from oracles import certify_faces_by_dart_dict, load_embedding_by_tokens, trace_faces_by_dart_dict
+from strategies import connected_rotations, rotations
 
 CORPUS = corpus()
 
@@ -70,14 +82,9 @@ class TestTraceFaces:
         assert check_planarity_certificate(emb)
 
 
-FIXED = [
-    ("K1", PlaneEmbedding(make_graph(1, []), {0: []})),
-    ("K2", PlaneEmbedding(make_graph(2, [(0, 1)]), {0: [1], 1: [0]})),
-    ("path5", PlaneEmbedding(make_graph(5, [(i, i + 1) for i in range(4)]),
-                             {0: [1], 1: [0, 2], 2: [3, 1], 3: [2, 4], 4: [3]})),
-    ("bowtie", bowtie_on_opaque_ids()),
-    *CORPUS,
-]
+WIDER = walk_fixtures()
+# the connected ones, whose faces are checked against the definition
+FIXED = [(name, emb) for name, emb in WIDER if is_connected(emb.graph)]
 
 
 class TestFaceWalks:
@@ -119,6 +126,132 @@ class TestFaceWalks:
     @pytest.mark.parametrize("name,emb", FIXED, ids=[n for n, _ in FIXED])
     def test_fixed_embeddings(self, name, emb):
         self.check(emb)
+
+
+class TestAgainstTheDartDict:
+    """The face walk on integer darts gives the faces, in the same order and
+    from the same start darts, and the defect of the (u, w) dart-dict tracer
+    it replaced; trace_faces and the certificate refuse the same inputs."""
+
+    @staticmethod
+    def check(emb):
+        expected = certify_faces_by_dart_dict(emb)
+        assert certify_faces(emb) == expected
+        faces, defect = expected
+        if defect == DISCONNECTED:
+            for trace in (trace_faces, trace_faces_by_dart_dict):
+                with pytest.raises(ValueError, match="^face tracing requires a connected graph$"):
+                    trace(emb)
+            with pytest.raises(ValueError):
+                check_planarity_certificate(emb)
+            return
+        assert trace_faces(emb) == faces
+        assert check_planarity_certificate(emb) is (defect is None)
+
+    @pytest.mark.parametrize("name,emb", WIDER, ids=[n for n, _ in WIDER])
+    def test_fixed_embeddings(self, name, emb):
+        self.check(emb)
+
+    def test_fixed_embeddings_cover_every_defect(self):
+        defects = {certify_faces(emb)[1] for _, emb in WIDER}
+        assert defects == {None, NOT_GENUS_ZERO, DISCONNECTED}
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=connected_rotations(max_n=9))
+    def test_connected_rotations(self, emb):
+        self.check(emb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=rotations(max_n=8))
+    def test_any_rotation(self, emb):
+        self.check(emb)
+
+
+# A triangle 0 1 2 with the pendant vertex 3 at 2, as `dump_embedding` writes
+# it, and each rotation fault with the message the CLI reports for it.
+TRIANGLE_PENDANT = "# defcol-embedding v1\n4 4\n0 1\n0 2\n1 2\n2 3\n"
+ROT_LINES = ["rot 0: 1 2", "rot 1: 2 0", "rot 2: 0 1 3", "rot 3: 2"]
+
+
+def _document(*rot_lines):
+    return TRIANGLE_PENDANT + "".join(line + "\n" for line in rot_lines)
+
+
+def _replaced(i, line):
+    return _document(*ROT_LINES[:i], *([line] if line else []), *ROT_LINES[i + 1:])
+
+
+ROTATION_FAULTS = {
+    "repeats a neighbor": (_replaced(0, "rot 0: 1 1"), "rotation at 0 repeats a neighbor"),
+    "misses a neighbor": (_replaced(2, "rot 2: 0 1"), "rotation at 2 does not match its neighbors"),
+    "adds a vertex": (_replaced(0, "rot 0: 1 2 3"), "rotation at 0 does not match its neighbors"),
+    "adds a non-vertex": (_replaced(0, "rot 0: 1 2 9"),
+                          "rotation at 0 does not match its neighbors"),
+    "first fault in vertex order": (_document("rot 2: 0 1", "rot 1: 2 0", "rot 0: 1 1", "rot 3: 2"),
+                                    "rotation at 0 repeats a neighbor"),
+    "missing rot line": (_replaced(3, None), "no rotation record for vertex 3"),
+    "duplicated rot line": (_document(*ROT_LINES[:2], "rot 1: 0 2", *ROT_LINES[2:]),
+                            "second rotation line for vertex 1"),
+    "unknown vertex": (_document(*ROT_LINES, "rot 9: 2"),
+                       "rotation must list every vertex exactly once"),
+    "unknown vertex for a listed one": (_replaced(3, "rot 9: 2"), "no rotation record for vertex 3"),
+}
+
+
+class TestRotationMessages:
+    """Every rotation fault is reported in the words it had when the
+    rotation was checked vertex by vertex, through the CLI and through a
+    direct constructor call alike."""
+
+    @pytest.mark.parametrize("fault", ROTATION_FAULTS)
+    def test_cli_error_lines(self, fault, tmp_path, capsys):
+        text, message = ROTATION_FAULTS[fault]
+        path = tmp_path / "fault.emb"
+        path.write_text(text)
+        for argv in (["check", "lemmas", "--embedding", str(path)],
+                     ["audit", "--embedding", str(path), "--ruleset", "44"]):
+            assert main(argv) == 2
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"defcol: error: {message}\n")
+        with pytest.raises(ValueError) as exc:
+            load_embedding_by_tokens(text)
+        assert str(exc.value) == message
+
+    def test_rot_lines_out_of_order_load(self):
+        text = _document(*reversed(ROT_LINES))
+        assert dump_embedding(load_embedding(text)) == _document(*ROT_LINES)
+
+    GRAPH = Graph(["c", "b", "a", "d"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+    GOOD = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "d", "b"], "d": ["c"]}
+    WITHOUT_D = {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "d", "b"]}
+    CONSTRUCTOR_FAULTS = {
+        "repeats a neighbor": ({**GOOD, "b": ["c", "c"]}, "rotation at 'b' repeats a neighbor"),
+        "misses a neighbor": ({**GOOD, "c": ["a", "b"]},
+                              "rotation at 'c' does not match its neighbors"),
+        "adds a vertex": ({**GOOD, "a": ["b", "c", "d"]},
+                          "rotation at 'a' does not match its neighbors"),
+        "adds a non-vertex": ({**GOOD, "a": ["b", "c", "z"]},
+                              "rotation at 'a' does not match its neighbors"),
+        "first fault in vertex order": ({**GOOD, "a": ["b", "b"], "d": []},
+                                        "rotation at 'a' repeats a neighbor"),
+        "missing vertex": (WITHOUT_D, "rotation must list every vertex exactly once"),
+        "missing vertex of a defaultdict": (defaultdict(list, WITHOUT_D),
+                                            "rotation must list every vertex exactly once"),
+        "unknown vertex": ({**GOOD, "z": []}, "rotation must list every vertex exactly once"),
+        "unknown vertex for a listed one": ({**WITHOUT_D, "z": ["c"]},
+                                            "rotation must list every vertex exactly once"),
+    }
+
+    @pytest.mark.parametrize("fault", CONSTRUCTOR_FAULTS)
+    def test_constructor_messages(self, fault):
+        rotation, message = self.CONSTRUCTOR_FAULTS[fault]
+        with pytest.raises(ValueError) as exc:
+            PlaneEmbedding(self.GRAPH, rotation)
+        assert str(exc.value) == message
+
+    def test_rotation_of_gives_the_supplied_order(self):
+        emb = PlaneEmbedding(self.GRAPH, self.GOOD)
+        assert {v: emb.rotation_of(v) for v in "abcd"} == {v: tuple(ns) for v, ns in self.GOOD.items()}
 
 
 class TestRotationValidation:

@@ -25,7 +25,7 @@ from defcol import graphs
 from defcol.cli import main
 from defcol.graphs import MAX_EDGES, MAX_VERTICES
 
-from corpus import corpus, fused_hexagons, k3_embedding, pendant_triangle
+from corpus import corpus, fused_hexagons, k3_embedding, non_canonical, pendant_triangle
 from oracles import load_embedding_by_tokens, load_graph_by_tokens
 
 
@@ -514,3 +514,32 @@ def test_loaded_neighbors_are_the_vertex_ints():
     text = dump_graph(path_embedding(2000).graph)
     for g in (load_graph(text), load_graph(edit_edges(shuffled)(text))):
         assert all(v is g.vertices[v] for ns in g.adjacency for v in ns)
+
+
+def test_loaded_rotation_is_read_onto_the_vertex_ints():
+    emb = load_embedding(dump_embedding(path_embedding(2000)))
+    order = emb.graph.vertices
+    assert all(w is order[w] for around in emb._rotation for w in around)
+
+
+def test_a_non_canonical_embedding_audits_to_the_canonical_bytes(tmp_path, capsys, monkeypatch):
+    # shuffled and reversed edge lines, rot lines out of order and blank and
+    # comment lines take the strict pass, which no benchmark input reaches
+    canonical = dump_embedding(non_1k(2).embedding)
+    shuffled = non_canonical(canonical)
+    assert shuffled != canonical and dump_embedding(load_embedding(shuffled)) == canonical
+    strict = graphs._int_token
+    calls = []
+    monkeypatch.setattr(graphs, "_int_token", lambda token: calls.append(token) or strict(token))
+    paths = [tmp_path / "canonical.emb", tmp_path / "shuffled.emb"]
+    for path, text in zip(paths, (canonical, shuffled)):
+        path.write_text(text)
+    commands = [["audit", "--ruleset", ruleset] for ruleset in ("44", "35", "29")] + [["check", "lemmas"]]
+    for command in commands:
+        texts = []
+        for path in paths:
+            calls.clear()
+            assert main([*command, "--embedding", str(path)]) == 0
+            texts.append(capsys.readouterr().out)
+            assert bool(calls) is (path == paths[1])
+        assert texts[0] == texts[1]
