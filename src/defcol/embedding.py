@@ -152,22 +152,18 @@ def embedding_from_positions(
     Neighbors are ordered counterclockwise by angle; two neighbors at the
     same angle are rejected.
     """
+    at = []
     for v in g.vertices:
         if v not in positions:
             raise ValueError(f"no position for vertex {v!r}")
-    rotation = {}
-    for v in g.vertices:
-        x0, y0 = positions[v]
-        angled = []
-        for w in g.ordered_neighbors(v):
-            x1, y1 = positions[w]
-            angled.append((math.atan2(y1 - y0, x1 - x0), w))
-        angles = [a for a, _ in angled]
+        at.append(positions[v])
+    rot = []
+    for v, (x0, y0), ns in zip(g.vertices, at, g.adjacency):
+        angles = [math.atan2(at[w][1] - y0, at[w][0] - x0) for w in ns]
         if len(set(angles)) != len(angles):
             raise ValueError(f"two neighbors of {v!r} share an angle")
-        angled.sort()
-        rotation[v] = [w for _, w in angled]
-    return PlaneEmbedding(g, rotation)
+        rot.append(tuple(w for _, w in sorted(zip(angles, ns))))
+    return _fill(PlaneEmbedding.__new__(PlaneEmbedding), g, tuple(rot))
 
 
 # -- embedding text format ----------------------------------------------

@@ -196,30 +196,28 @@ def delete_vertex(g: Graph, v: Vertex) -> Graph:
     return Graph(vertices, edges, labels)
 
 
-def _iter_cycles(g: Graph, length: int) -> Iterator[tuple[Vertex, ...]]:
-    # Anchor each cycle at its lowest-index vertex; interior vertices must
-    # rank above the anchor, and the second-vs-last index comparison drops
-    # the reflected traversal, so each cycle appears exactly once.
-    for s in g.vertices:
-        yield from _extend_path(g, length, [s], {s})
-
-
-def _extend_path(g: Graph, length: int, path: list[Vertex], on_path: set[Vertex]):
-    # a module-level recursion, not a closure, so no reference cycle outlives it
-    idx = g.index_of
-    last = path[-1]
-    if len(path) == length:
-        if g.has_edge(last, path[0]) and idx(path[1]) < idx(last):
-            yield tuple(path)
-        return
-    anchor = idx(path[0])
-    for w in g.ordered_neighbors(last):
-        if idx(w) > anchor and w not in on_path:
-            path.append(w)
-            on_path.add(w)
-            yield from _extend_path(g, length, path, on_path)
-            path.pop()
-            on_path.discard(w)
+def _iter_cycles(g: Graph, length: int) -> Iterator[tuple[int, ...]]:
+    # Anchor each cycle at its lowest position: interior positions rank above
+    # the anchor, and the second-vs-last comparison drops the reflected walk,
+    # so each cycle appears once. walks holds one neighbor iterator per path
+    # position, so the walk is depth-first in ascending adjacency order.
+    adj = g.adjacency
+    for s, around in enumerate(adj):
+        closes = set(around)
+        path = [s]
+        walks = [iter(around)]
+        while walks:
+            for w in walks[-1]:
+                if w > s and w not in path:
+                    if len(path) < length - 1:
+                        path.append(w)
+                        walks.append(iter(adj[w]))
+                        break
+                    if w in closes and path[1] < w:
+                        yield (*path, w)
+            else:
+                path.pop()
+                walks.pop()
 
 
 def cycles_of_length(g: Graph, length: int) -> list[tuple[Vertex, ...]]:
@@ -230,7 +228,8 @@ def cycles_of_length(g: Graph, length: int) -> list[tuple[Vertex, ...]]:
             f"cycle length {length} outside supported range "
             f"[{MIN_CYCLE_LENGTH}, {MAX_CYCLE_LENGTH}]"
         )
-    return list(_iter_cycles(g, length))
+    at = g.vertices.__getitem__
+    return [tuple(map(at, cycle)) for cycle in _iter_cycles(g, length)]
 
 
 def is_c4c5_free(g: Graph) -> bool:

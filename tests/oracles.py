@@ -18,6 +18,9 @@ worked in integers on element positions (`*_by_fractions`), and the face
 tracer and classifier as they were before an embedding kept its rotation in
 index space (`trace_faces_by_dart_dict`, `certify_faces_by_dart_dict` and
 `classify_by_vertex_dicts`): they read the rotation through `rotation_of`.
+The cycle enumeration and the drawn embedding appear as they were before
+they walked the adjacency by position (`cycles_by_recursion` and
+`embedding_from_positions_by_ids`): they go through the graph's id API.
 None of it shares code with the package under test, except the audit
 document built as nested dicts, as `build_audit` built it before the report
 was written as text, and the `check lemmas` report as the CLI wrote it
@@ -857,6 +860,54 @@ def load_embedding_by_tokens(text: str) -> PlaneEmbedding:
     missing = [v for v in g.vertices if v not in rotation]
     if missing:
         raise ValueError(f"no rotation record for vertex {missing[0]}")
+    return PlaneEmbedding(g, rotation)
+
+
+# -- cycles and drawn embeddings, as they were before they worked by position
+
+
+def cycles_by_recursion(g: Graph, length: int) -> list[tuple[Vertex, ...]]:
+    # Anchor each cycle at its lowest-index vertex; interior vertices must
+    # rank above the anchor, and the second-vs-last index comparison drops
+    # the reflected traversal, so each cycle appears exactly once.
+    return [c for s in g.vertices for c in _extend_path(g, length, [s], {s})]
+
+
+def _extend_path(g: Graph, length: int, path: list[Vertex], on_path: set[Vertex]):
+    idx = g.index_of
+    last = path[-1]
+    if len(path) == length:
+        if g.has_edge(last, path[0]) and idx(path[1]) < idx(last):
+            yield tuple(path)
+        return
+    anchor = idx(path[0])
+    for w in g.ordered_neighbors(last):
+        if idx(w) > anchor and w not in on_path:
+            path.append(w)
+            on_path.add(w)
+            yield from _extend_path(g, length, path, on_path)
+            path.pop()
+            on_path.discard(w)
+
+
+def embedding_from_positions_by_ids(g: Graph, positions) -> PlaneEmbedding:
+    """The rotation keyed by vertex id, each vertex's neighbors sorted by
+    angle, handed to the `PlaneEmbedding` constructor."""
+    for v in g.vertices:
+        if v not in positions:
+            raise ValueError(f"no position for vertex {v!r}")
+    rotation = {}
+    for v in g.vertices:
+        x0, y0 = positions[v]
+        angled = []
+        for w in g.ordered_neighbors(v):
+            x1, y1 = positions[w]
+            angled.append((math.atan2(y1 - y0, x1 - x0), w))
+        angles = [a for a, _ in angled]
+        if len(set(angles)) != len(angles):
+            raise ValueError(f"two neighbors of {v!r} share an angle")
+        angled.sort()
+        rotation[v] = [w for _, w in angled]
     return PlaneEmbedding(g, rotation)
 
 

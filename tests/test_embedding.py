@@ -18,14 +18,21 @@ from defcol.cli import main
 from defcol.embedding import DISCONNECTED, NOT_GENUS_ZERO, certify_faces
 from defcol.graphs import is_connected
 
+import corpus as corpus_module
 from corpus import (
     corpus,
     cycle_embedding,
+    fused_hexagons,
     k3_embedding,
     pendant_triangle,
     walk_fixtures,
 )
-from oracles import certify_faces_by_dart_dict, load_embedding_by_tokens, trace_faces_by_dart_dict
+from oracles import (
+    certify_faces_by_dart_dict,
+    embedding_from_positions_by_ids,
+    load_embedding_by_tokens,
+    trace_faces_by_dart_dict,
+)
 from strategies import connected_rotations, rotations
 
 CORPUS = corpus()
@@ -316,6 +323,41 @@ class TestPositions:
         g = make_graph(2, [(0, 1)])
         with pytest.raises(ValueError):
             embedding_from_positions(g, {0: (0.0, 0.0)})
+
+    def test_same_rotation_as_by_ids_on_drawn_fixtures(self, monkeypatch):
+        drawings = []
+
+        def record(g, positions):
+            drawings.append((g, positions))
+            return embedding_from_positions(g, positions)
+
+        monkeypatch.setattr(corpus_module, "embedding_from_positions", record)
+        walk_fixtures()
+        pendant_triangle()
+        for count in (1, 50, 400):
+            fused_hexagons(count)
+        assert len(drawings) == 18
+        for g, positions in drawings:
+            ours = embedding_from_positions(g, positions)
+            theirs = embedding_from_positions_by_ids(g, positions)
+            assert ours.graph is g
+            assert ours._rotation == theirs._rotation
+            for v in g.vertices:
+                assert ours.rotation_of(v) == theirs.rotation_of(v)
+
+    @pytest.mark.parametrize(
+        "positions,message",
+        [
+            ({"a": (0.0, 0.0), "b": (1.0, 0.0)}, "no position for vertex 'c'"),
+            ({"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (2.0, 0.0)},
+             "two neighbors of 'a' share an angle"),
+        ],
+    )
+    def test_messages_on_string_ids(self, positions, message):
+        g = Graph(["b", "a", "c"], [("a", "b"), ("a", "c")])
+        for build in (embedding_from_positions, embedding_from_positions_by_ids):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(g, positions)
 
 
 class TestEmbeddingFormat:

@@ -7,20 +7,35 @@ from hypothesis import strategies as st
 
 import defcol.graphs as graphs_module
 from defcol import (
+    RULESETS,
     Graph,
+    analyze,
     cycles_of_length,
     delete_vertex,
+    dump_embedding,
     dump_graph,
     girth,
     hub_gadget,
     is_c4c5_free,
     is_connected,
+    load_embedding,
     load_graph,
     make_graph,
+    non_1k,
+    np_reduce,
+    solve,
     triangle_link,
 )
+from defcol.discharging import audit_json
 
-from oracles import cycles_by_permutation, canonical_cycle, girth_by_enumeration, identify
+from corpus import corpus
+from oracles import (
+    canonical_cycle,
+    cycles_by_permutation,
+    cycles_by_recursion,
+    girth_by_enumeration,
+    identify,
+)
 from strategies import graphs, graphs_with_edge
 
 HUV_SKELETON_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
@@ -28,6 +43,17 @@ HUV_SKELETON_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
 
 def k_n(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+# the corpus, the gadgets on string ids, np_reduce's tuple ids, and K0..K9
+CYCLE_INPUTS = [
+    *((name, emb.graph) for name, emb in corpus()),
+    ("triangle_link", triangle_link().graph),
+    ("hub_gadget_2", hub_gadget(2).graph),
+    ("non_1k_1", non_1k(1).graph),
+    ("np_reduce_non_1k_1_2", np_reduce(non_1k(1).graph, 2).graph),
+    *((f"K{n}", k_n(n)) for n in range(10)),
+]
 
 
 def cycle(n):
@@ -173,6 +199,16 @@ class TestCycles:
         canonical = {canonical_cycle(g, c) for c in ours}
         assert len(canonical) == len(ours)
         assert canonical == cycles_by_permutation(g, length)
+
+    @pytest.mark.parametrize("g", [g for _, g in CYCLE_INPUTS], ids=[n for n, _ in CYCLE_INPUTS])
+    def test_same_tuples_in_order_as_recursion(self, g):
+        for length in range(3, 9):
+            assert cycles_of_length(g, length) == cycles_by_recursion(g, length)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(), st.integers(3, 8))
+    def test_same_tuples_in_order_as_recursion_on_random_graphs(self, g, length):
+        assert cycles_of_length(g, length) == cycles_by_recursion(g, length)
 
 
 def wheel(rim):
@@ -407,3 +443,28 @@ class TestAdjacency:
             g.adjacency = ()
         with pytest.raises(TypeError):
             g.adjacency[0] = ()
+
+
+class TestWalksByPosition:
+    def test_algorithms_run_without_the_id_api(self, monkeypatch):
+        """No algorithm walks a graph through its vertex ids: with the id
+        queries raising, the corpus is drawn and every analysis still runs."""
+        text = dump_embedding(non_1k(2).embedding)
+        for name in ("index_of", "neighbors", "ordered_neighbors", "degree", "has_edge"):
+            def refuse(*args, name=name):
+                raise AssertionError(f"Graph.{name} called")
+
+            monkeypatch.setattr(Graph, name, refuse)
+        fixtures = [*corpus(), ("non_1k_2", load_embedding(text))]
+        for _, emb in fixtures:
+            g = emb.graph
+            for length in range(3, 9):
+                cycles_of_length(g, length)
+            is_c4c5_free(g)
+            girth(g)
+            assert is_connected(g)
+            analyze(emb)
+            audit_json(emb, RULESETS["44"])
+            assert solve(g, (1, 1), budget=100_000).exceeded_budget is False
+        with pytest.raises(AssertionError, match="Graph.has_edge called"):
+            fixtures[0][1].graph.has_edge(0, 1)
