@@ -261,6 +261,7 @@ def solve(
     cache: dict[tuple, list] = {}
     shapes: dict[tuple[int, ...], int] = {}  # profile(): a piece's vertices -> its shape id
     shape_ids: dict[tuple, int] = {}  # profile(): a piece's adjacency -> its shape id
+    spot = [0] * n  # profile(): a vertex's position in the piece or among its attachments
     nodes = closed = hits = misses = nesting = scopes = epoch = visits = scans = sums = 0
     # Colored-neighbor counts raised since the current decision began: with
     # fewer than two, nothing can have fallen apart and split() is skipped.
@@ -320,7 +321,7 @@ def solve(
                     return False
         return True
 
-    def place(piece: list[int], witness: tuple[int, ...]) -> None:
+    def place(piece: list[int], witness: Iterable[int]) -> None:
         """Color a closed piece with a witness from its profile. Its
         attachments' slack is not charged: the witness fits within the
         slack reserved for it or left to it."""
@@ -487,9 +488,11 @@ def solve(
                 total = demand.get(y)
                 if total is None:
                     bit = 1 << (color[y] - 1)
-                    total = demand[y] = sum(
-                        1 for z in adj[y] if not color[z] and owner[z] == sid and allowed[z] & bit
-                    )
+                    total = 0
+                    for z in adj[y]:
+                        if not color[z] and owner[z] == sid and allowed[z] & bit:
+                            total += 1
+                    demand[y] = total
                 if d < total and slack[y] < total:
                     binding.append(y)
                     box *= d + 1
@@ -534,17 +537,19 @@ def solve(
         verts = tuple(piece)
         shape = shapes.get(verts)
         if shape is None:
-            pos = {y: -1 - j for j, y in enumerate(atts)}
-            pos.update((x, i) for i, x in enumerate(piece))
-            adjacency = tuple([tuple([pos[y] for y in adj[x]]) for x in piece])
+            for j, y in enumerate(atts):
+                spot[y] = -1 - j
+            for i, x in enumerate(piece):
+                spot[x] = i
+            at = spot.__getitem__
+            adjacency = tuple([tuple(map(at, adj[x])) for x in piece])
             shape = shapes[verts] = shape_ids.setdefault(adjacency, len(shape_ids))
-        tied = set(binding) if binding else ()
         # Equal keys mean equal local instances under the positional map,
         # and a binding budget never exceeds the piece's own demand.
         key = (
             shape,
             tuple(map(allowed.__getitem__, piece)),
-            tuple([(color[y], -1 if y in tied else min(slack[y], d)) for y, d in atts.items()]),
+            tuple([(color[y], -1 if y in binding else min(slack[y], d)) for y, d in atts.items()]),
         )
         entries = cache.get(key)
         if entries is not None:
@@ -688,6 +693,23 @@ def solve(
     return SolveOutcome(result, coloring, nodes, stats)
 
 
+class _RunColors:
+    """The colors of a folded run: w1 on each of its first c copies, then w2
+    on each of the other d. Reservations share chain links, so each
+    iteration starts afresh."""
+
+    __slots__ = ("w1", "c", "w2", "d")
+
+    def __init__(self, w1: tuple[int, ...], c: int, w2: tuple[int, ...], d: int):
+        self.w1, self.c, self.w2, self.d = w1, c, w2, d
+
+    def __iter__(self):
+        for _ in range(self.c):
+            yield from self.w1
+        for _ in range(self.d):
+            yield from self.w2
+
+
 def _knapsack(pending, room):
     """Pareto-minimal slack reservations, cheapest first, for the (binding
     attachments, entries, piece) triples in `pending` within room[y] of each
@@ -695,7 +717,9 @@ def _knapsack(pending, room):
     chain of (chain, vertices, colors) links places the lexicographically
     first entry sequence that reaches its total. A run of n pieces with equal
     binding and one list of one or two entries folds at once: the first c
-    take the first entry and the rest the last, for c = n..0."""
+    take the first entry and the rest the last, for c = n..0. Each option's
+    colors are a _RunColors, built only when a reservation is placed, so a
+    run costs time and memory linear in n, not quadratic."""
     atts = list(dict.fromkeys(y for binding, _, _ in pending for y in binding))
     cap = [room[y] for y in atts]
     front: dict[tuple[int, ...], tuple | None] = {(0,) * len(atts): None}
@@ -708,7 +732,7 @@ def _knapsack(pending, room):
                 j += 1
             n = j - i
             (first, w1), (last, w2) = entries[0], entries[-1]
-            options = [([c * a + (n - c) * b for a, b in zip(first, last)], w1 * c + w2 * (n - c))
+            options = [([c * a + (n - c) * b for a, b in zip(first, last)], _RunColors(w1, c, w2, n - c))
                        for c in (range(n, -1, -1) if len(entries) == 2 else (n,))]
         run = [x for _, _, piece in pending[i:j] for x in piece]
         slots = [atts.index(y) for y in binding]

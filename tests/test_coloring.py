@@ -1,4 +1,7 @@
+import gc
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -465,18 +468,96 @@ class TestComponentProfiles:
             if out.is_sat:
                 assert is_valid_coloring(g, spec, out.coloring)
 
+    @staticmethod
+    def profiled_neighbors(g, spec, constraints=None):
+        """Solve g at spec and return, for each piece that profile() sees,
+        how many of its vertices' neighbors are neither in the piece nor
+        among its attachments."""
+        code = next(c for c in coloring.solve.__code__.co_consts
+                    if isinstance(c, types.CodeType) and c.co_name == "profile")
+        outside = []
+
+        def trace(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                piece, atts, adj = (frame.f_locals[name] for name in ("piece", "atts", "adj"))
+                inside = set(piece) | atts.keys()
+                outside.append(sum(y not in inside for x in piece for y in adj[x]))
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            solve(g, spec, constraints, budget=10**4)
+        finally:
+            sys.settrace(previous)
+        return outside
+
+    # profile() numbers a new shape's neighbors through a solver-wide array
+    # that only the piece and its attachments overwrite, so a neighbor
+    # outside both would read a stale position and could share another
+    # shape's cached profile. A piece is a whole uncolored component, and
+    # its attachments are all of its colored neighbors.
+    @pytest.mark.parametrize("make, spec", [
+        (lambda: non_1k(2).graph, (1, 2)),
+        (lambda: np_reduce(non_1k(1).graph, 2).graph, (0, 2)),
+    ], ids=["non_1k_2", "np_reduce"])
+    def test_profiled_pieces_have_no_other_neighbors(self, make, spec):
+        outside = self.profiled_neighbors(make(), spec)
+        assert outside and not any(outside)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks_and_separators())
+    def test_profiled_pieces_have_no_other_neighbors_among_blocks(self, instance):
+        assert not any(self.profiled_neighbors(*instance))
+
     def test_non_1k_search_stays_the_same_as_k_grows(self):
         # Only the number of identical lane copies grows with k, and the
         # knapsack folds each run of them in one step: its candidate totals
         # grow linearly in k, not quadratically.
         sums = {}
-        for k in (12, 24, 48):
+        for k in (12, 24, 48, 96):
             out = solve(non_1k(k).graph, (1, k), budget=10**4)
             assert out.is_unsat
             assert out.nodes == 59
             assert (out.stats["cache_misses"], out.stats["pieces_closed"]) == (12, 122 * k + 34)
             sums[k] = out.stats["knapsack_sums"]
         assert sums[48] <= 2 * sums[24] + 16
+
+    @staticmethod
+    def lane_run(n):
+        # n copies of a three-vertex piece whose cached profile has two
+        # entries over two binding attachments, as in the lanes of non_1k(k).
+        entries = [((0, 1), (1, 2, 1)), ((1, 0), (2, 1, 2))]
+        return [([0, 1], entries, [3 * i, 3 * i + 1, 3 * i + 2]) for i in range(n)], {0: n, 1: n}
+
+    def test_folded_run_colors_do_not_grow_with_the_run(self):
+        # Building every option's colors eagerly costs quadratic memory:
+        # n + 1 options of 3n colors each. A folded option's colors hold its
+        # two witnesses and two counts, whatever n is.
+        def footprint(colors):
+            parts = [r for r in gc.get_referents(colors) if not isinstance(r, type)]
+            return sys.getsizeof(colors) + sum(map(sys.getsizeof, parts))
+
+        sizes = {}
+        for n in (500, 1000):
+            pending, room = self.lane_run(n)
+            (_, reservations), formed = coloring._knapsack(pending, room)
+            assert formed == len(reservations) == n + 1
+            sizes[n] = max(footprint(colors) for _, (_, _, colors) in reservations)
+        assert sizes[1000] == sizes[500]
+
+    def test_folded_run_colors_iterate_twice_to_the_eager_sequence(self):
+        # Reservations share chain links, so a folded run's colors must be
+        # re-iterable: a one-shot iterator would place nothing the second time.
+        n = 5
+        pending, room = self.lane_run(n)
+        (atts, reservations), formed = coloring._knapsack(pending, room)
+        assert (atts, formed) == ([0, 1], n + 1)
+        (_, w1), (_, w2) = pending[0][1]
+        for total, (rest, run, colors) in reservations:
+            c = total[1]
+            assert rest is None and total == (n - c, c)
+            assert run == list(range(3 * n))
+            assert list(colors) == list(colors) == list(w1 * c + w2 * (n - c))
 
     @settings(max_examples=200, deadline=None)
     @given(knapsack_inputs())
