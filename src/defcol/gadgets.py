@@ -2,12 +2,13 @@
 amplifier built from it, the non-(1,k)-colorable composite, and the
 triangle-attachment reduction between defect levels.
 
-Construction order is fixed (copies j-major, i-minor; terminals keep their
-base identifiers) so generated graphs and their serialized forms are
-byte-identical across runs. Emitted embeddings splice each copy's rotation
-into the shared terminals with the nesting that keeps the two-pole parallel
-composition planar; every emitted embedding is certified through the Euler
-check rather than assumed.
+A generator states each embedded gadget once, as its rotation system: the
+graph is read off the pairs the rotation lists, and the Euler check
+certifies the embedding rather than assuming it. Construction order is
+fixed (copies j-major, i-minor; terminals keep their base identifiers) so
+generated graphs and their serialized forms are byte-identical across runs.
+Each copy's rotation is spliced into the shared terminals with the nesting
+that keeps the two-pole parallel composition planar.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ class GadgetResult(Record):
         self._set(locals())
 
 
+def _check_k(k: int) -> None:
+    """Refuse a k that is not an int (a bool is not one) or is below 1."""
+    if type(k) is not int:
+        raise ValueError(f"k {k!r} is not an int")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+
+
 def _check_size(vertices: int, edges: int) -> None:
     """Refuse, before anything is built, an output the loaders would refuse."""
     if vertices > MAX_VERTICES or edges > MAX_EDGES:
@@ -53,31 +62,27 @@ def _hub_size(k: int) -> tuple[int, int]:
     return 4 + 4 * copies, 2 + 7 * copies
 
 
+def _embedded(vertices: list[Vertex], rotation: dict[Vertex, list[Vertex]],
+              terminals: dict[str, Vertex]) -> GadgetResult:
+    """The gadget that `rotation` states on `vertices`, each terminal
+    labelled with its name. The graph holds the pairs the rotation lists;
+    each edge arrives from both ends, and one listed at one end only makes
+    `PlaneEmbedding` refuse the rotation."""
+    edges = [(v, w) for v, around in rotation.items() for w in around]
+    g = Graph(vertices, edges, {v: name for name, v in terminals.items()})
+    return GadgetResult(g, terminals, PlaneEmbedding(g, rotation))
+
+
 def _link_parts(prefix: str, u_id: Vertex, v_id: Vertex):
-    """Vertices, edges and interior rotations of one linked-triangle copy.
+    """Vertices, interior rotation and pole blocks of one linked-triangle copy.
 
     Interior vertices a, b, c, d get the given prefix; u and v are supplied
     by the caller (they are usually shared hub vertices). At u the local
     rotation is [a, b]; at v it is [c, d].
     """
-    a, b, c, d = (prefix + name for name in ("a", "b", "c", "d"))
-    vertices = [a, b, c, d]
-    edges = [
-        (u_id, a),
-        (u_id, b),
-        (a, b),
-        (b, d),
-        (c, d),
-        (c, v_id),
-        (d, v_id),
-    ]
-    rotation = {
-        a: [b, u_id],
-        b: [u_id, a, d],
-        c: [d, v_id],
-        d: [b, c, v_id],
-    }
-    return vertices, edges, rotation, [a, b], [c, d]
+    a, b, c, d = (prefix + name for name in "abcd")
+    rotation = {a: [b, u_id], b: [u_id, a, d], c: [d, v_id], d: [b, c, v_id]}
+    return [a, b, c, d], rotation, [a, b], [c, d]
 
 
 def triangle_link() -> GadgetResult:
@@ -87,63 +92,49 @@ def triangle_link() -> GadgetResult:
     when that color's defect is 1: b would then see two same-colored
     neighbors. All six vertices are exposed as terminals.
     """
-    inner, edges, rotation, at_u, at_v = _link_parts("", "u", "v")
+    inner, rotation, at_u, at_v = _link_parts("", "u", "v")
     vertices = ["u", *inner, "v"]
     rotation.update(u=at_u, v=at_v)
-    g = Graph(vertices, edges, {v: v for v in vertices})
-    terminals = {name: name for name in vertices}
-    return GadgetResult(g, terminals, PlaneEmbedding(g, rotation))
+    return _embedded(vertices, rotation, {name: name for name in vertices})
 
 
 def _hub_parts(k: int, prefix: str):
     """One hub block: vertex z, path x1-x2-x3, and 2k+1 linked-triangle
-    copies from z to each x_j. Returns vertices, edges, rotation, terminals.
+    copies from z to each x_j. Returns vertices, rotation, terminals.
 
     A copy is glued at both poles, so the copies between z and an x_j are
     parallel lanes: at z their [a, b] blocks are listed in copy order, at
-    x_j the blocks appear mirrored and in reverse copy order ([d, c]),
-    which is what keeps the composite planar.
+    x_j the lane of [c, d] blocks is listed reversed ([..., d, c]), which
+    is what keeps the composite planar.
     """
     z = prefix + "z"
-    xs = [prefix + f"x{j}" for j in (1, 2, 3)]
-    vertices = [z] + xs
-    edges = [(xs[0], xs[1]), (xs[1], xs[2])]
-    z_rot: list[Vertex] = []
-    lanes: dict[int, list[list[Vertex]]] = {1: [], 2: [], 3: []}
+    x1, x2, x3 = xs = [prefix + f"x{j}" for j in (1, 2, 3)]
+    vertices = [z, *xs]
     rotation: dict[Vertex, list[Vertex]] = {}
-    for j in (1, 2, 3):
-        x = xs[j - 1]
+    z_rot: list[Vertex] = []
+    lanes = []
+    for j, x in enumerate(xs, 1):
+        lane: list[Vertex] = []
         for i in range(1, 2 * k + 2):
-            copy_prefix = f"{prefix}h{j}_{i}_"
-            verts, copy_edges, copy_rot, at_u, at_v = _link_parts(copy_prefix, z, x)
+            verts, copy_rot, at_u, at_v = _link_parts(f"{prefix}h{j}_{i}_", z, x)
             vertices.extend(verts)
-            edges.extend(copy_edges)
             rotation.update(copy_rot)
             z_rot.extend(at_u)
-            lanes[j].append(at_v)
+            lane.extend(at_v)
+        lanes.append(lane[::-1])
     rotation[z] = z_rot
-
-    def mirrored(j: int) -> list[Vertex]:
-        return [w for block in reversed(lanes[j]) for w in reversed(block)]
-
-    rotation[xs[0]] = mirrored(1) + [xs[1]]
-    rotation[xs[1]] = [xs[0], xs[2]] + mirrored(2)
-    rotation[xs[2]] = mirrored(3) + [xs[1]]
-    terminals = {"z": z, "x1": xs[0], "x2": xs[1], "x3": xs[2]}
-    return vertices, edges, rotation, terminals
+    rotation[x1] = lanes[0] + [x2]
+    rotation[x2] = [x1, x3] + lanes[1]
+    rotation[x3] = lanes[2] + [x2]
+    return vertices, rotation, {"z": z, "x1": x1, "x2": x2, "x3": x3}
 
 
 def hub_gadget(k: int) -> GadgetResult:
     """Hub z feeding 2k+1 linked-triangle copies into each vertex of a
     3-path x1-x2-x3; 4 + 12(2k+1) vertices, terminals z, x1, x2, x3."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     _check_size(*_hub_size(k))
-    vertices, edges, rotation, terminals = _hub_parts(k, "")
-    labels = {v: name for name, v in terminals.items()}
-    g = Graph(vertices, edges, labels)
-    emb = PlaneEmbedding(g, rotation)
-    return GadgetResult(g, terminals, emb)
+    return _embedded(*_hub_parts(k, ""))
 
 
 def non_1k(k: int) -> GadgetResult:
@@ -152,30 +143,22 @@ def non_1k(k: int) -> GadgetResult:
     The composite admits no coloring in which color 1 has defect 1 and
     color 2 has defect k; terminals z1, z2, z3.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     n, m = _hub_size(k)
     _check_size(3 * n, 3 * m + 2)
     vertices: list[Vertex] = []
-    edges: list[tuple[Vertex, Vertex]] = []
     rotation: dict[Vertex, list[Vertex]] = {}
     zs: list[Vertex] = []
     for t in (1, 2, 3):
-        verts, block_edges, block_rot, terms = _hub_parts(k, f"s{t}.")
+        verts, block_rot, terms = _hub_parts(k, f"s{t}.")
         vertices.extend(verts)
-        edges.extend(block_edges)
         rotation.update(block_rot)
         zs.append(terms["z"])
-    edges.append((zs[0], zs[1]))
-    edges.append((zs[1], zs[2]))
-    rotation[zs[0]] = rotation[zs[0]] + [zs[1]]
-    rotation[zs[1]] = [zs[0], zs[2]] + rotation[zs[1]]
-    rotation[zs[2]] = rotation[zs[2]] + [zs[1]]
-    terminals = {"z1": zs[0], "z2": zs[1], "z3": zs[2]}
-    labels = {v: name for name, v in terminals.items()}
-    g = Graph(vertices, edges, labels)
-    emb = PlaneEmbedding(g, rotation)
-    return GadgetResult(g, terminals, emb)
+    z1, z2, z3 = zs
+    rotation[z1].append(z2)
+    rotation[z2] = [z1, z3] + rotation[z2]
+    rotation[z3].append(z2)
+    return _embedded(vertices, rotation, {"z1": z1, "z2": z2, "z3": z3})
 
 
 def np_reduce(g: Graph, k: int) -> GadgetResult:
@@ -186,8 +169,7 @@ def np_reduce(g: Graph, k: int) -> GadgetResult:
     4- and 5-cycles. At k = 1 nothing is attached, so the result equals the
     input.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     n = g.vertex_count
     _check_size(n + 2 * n * (k - 1), g.edge_count + 3 * n * (k - 1))
     vertices: list[Vertex] = list(g.vertices)

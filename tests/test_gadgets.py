@@ -1,5 +1,8 @@
 import hashlib
+import json
 import time
+from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,14 +54,35 @@ label 4 d
 label 5 v
 """
 
-HUB1_GRAPH_SHA = "9eef95d3c0cfa85037e4fdf21bbeba0965f5162325e62267a487d4b528272fbf"
-HUB1_EMB_SHA = "e73bcb65250e155c78d706de71f8bc9db416224c8b84d5007294f3efa4e9bfcb"
-NON1K1_GRAPH_SHA = "0adc41966f4ac1aea123f1ca273a6f593467bae3ce941ded09adc4db9d6d51dd"
-NON1K1_EMB_SHA = "1a2696a8817a9bbbb89002726ed6e9f3bea786eb68ae9367b18adbe3fb0bbf0d"
+GADGET_DIGESTS = json.loads((Path(__file__).parent / "gadget_digests.json").read_text())
 
 
 def sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned_gadgets():
+    """Each generator call whose output `gadget_digests.json` pins, by its
+    key there."""
+    builds = {"triangle_link()": triangle_link}
+    builds.update({f"hub_gadget({k})": partial(hub_gadget, k) for k in range(1, 6)})
+    builds.update({f"non_1k({k})": partial(non_1k, k) for k in (*range(1, 7), 48)})
+    return builds
+
+
+def gadget_digests(result):
+    """The sha256 of the `.graph` and `.emb` texts of a gadget, and of the
+    reprs of its vertex ids, labels and terminals, which the files name
+    only by index."""
+    g = result.graph
+    texts = {
+        "graph": dump_graph(g),
+        "embedding": dump_embedding(result.embedding),
+        "vertices": repr(g.vertices),
+        "labels": repr(g.labels),
+        "terminals": repr(result.terminals),
+    }
+    return {name: sha(text) for name, text in texts.items()}
 
 
 class TestTriangleLink:
@@ -170,6 +194,31 @@ class TestHubGadget:
             g = identify(g, keep, merge)
         assert set(g.vertices) == set(hub.vertices)
         assert {frozenset(e) for e in g.edges()} == {frozenset(e) for e in hub.edges()}
+
+
+class TestRotationIsTheStatement:
+    """A generator lists each edge in the rotation at both of its ends, and
+    the graph holds every pair listed; `PlaneEmbedding`'s match of each
+    rotation against its vertex's neighbors is what catches an edge that
+    one end leaves out."""
+
+    @pytest.mark.parametrize("build, vertex", [
+        (triangle_link, "d"),
+        (partial(hub_gadget, 1), "h1_1_d"),
+        (partial(non_1k, 1), "s1.h1_1_d"),
+    ], ids=["triangle_link", "hub_gadget", "non_1k"])
+    def test_edge_listed_at_one_end_only_is_refused(self, monkeypatch, build, vertex):
+        link_parts = gadgets._link_parts
+
+        def d_drops_v(prefix, u_id, v_id):
+            vertices, rotation, at_u, at_v = link_parts(prefix, u_id, v_id)
+            rotation[prefix + "d"].remove(v_id)
+            return vertices, rotation, at_u, at_v
+
+        monkeypatch.setattr(gadgets, "_link_parts", d_drops_v)
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"rotation at {vertex!r} does not match its neighbors"
 
 
 class TestNon1k:
@@ -336,13 +385,12 @@ class TestDeterminism:
             assert dump_graph(first.graph) == dump_graph(second.graph)
             assert dump_embedding(first.embedding) == dump_embedding(second.embedding)
 
-    def test_frozen_digests(self):
-        hub = hub_gadget(1)
-        assert sha(dump_graph(hub.graph)) == HUB1_GRAPH_SHA
-        assert sha(dump_embedding(hub.embedding)) == HUB1_EMB_SHA
-        big = non_1k(1)
-        assert sha(dump_graph(big.graph)) == NON1K1_GRAPH_SHA
-        assert sha(dump_embedding(big.embedding)) == NON1K1_EMB_SHA
+    def test_digest_file_pins_exactly_the_pinned_gadgets(self):
+        assert set(GADGET_DIGESTS) == set(pinned_gadgets())
+
+    @pytest.mark.parametrize("name", list(pinned_gadgets()))
+    def test_pinned_gadget_digests(self, name):
+        assert gadget_digests(pinned_gadgets()[name]()) == GADGET_DIGESTS[name]
 
 
 class TestGadgetResult:

@@ -12,10 +12,13 @@ from defcol import (
     brute_force_oracle,
     embedding_from_positions,
     export_cnf,
+    hub_gadget,
     is_valid_coloring,
     load_embedding,
     load_graph,
     make_graph,
+    non_1k,
+    np_reduce,
     solve,
     triangle_link,
 )
@@ -88,6 +91,16 @@ REJECTED = [
     (lambda: deletion_preserves(K3, 9, (0, 1), budget=10), "vertex 9 not in graph"),
     (lambda: Graph([0, 1], [], {5: "x"}), "label attached to unknown vertex 5"),
     (lambda: make_graph(-1, []), "vertex count must be non-negative"),
+    # the generators' k: a float raised TypeError from range(), and True
+    # built k = 1
+    (lambda: hub_gadget(1.5), "k 1.5 is not an int"),
+    (lambda: non_1k(2.0), "k 2.0 is not an int"),
+    (lambda: np_reduce(K3, 1.5), "k 1.5 is not an int"),
+    (lambda: hub_gadget(True), "k True is not an int"),
+    (lambda: non_1k(True), "k True is not an int"),
+    (lambda: hub_gadget(0), "k must be at least 1"),
+    (lambda: non_1k(0), "k must be at least 1"),
+    (lambda: np_reduce(K3, 0), "k must be at least 1"),
     (lambda: identify(K3, 9, 0), "vertex 9 not in graph"),
     (lambda: load_graph(EMPTY_DOCUMENT), "empty graph document"),
     # the structural checks of the Graph and PlaneEmbedding constructors,
