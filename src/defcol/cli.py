@@ -3,7 +3,7 @@
 Subcommands: solve, oracle, gadget, reduce, check, audit. All reports are
 JSON on stdout; graphs and embeddings travel in the versioned text formats.
 Exit codes: 0 success / Sat, 10 Unsat, 20 budget exhausted, 2 usage or
-input errors.
+input errors, or memory exhausted.
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"defcol: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("defcol: error: out of memory", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:  # stdout closed early: its flush at exit must not fail
         devnull = os.open(os.devnull, os.O_WRONLY)

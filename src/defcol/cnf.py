@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coloring import ColoringSpec, ConstraintSet, as_spec, _validate_constraints
+from .coloring import ColoringSpec, ConstraintSet, _instance
 from .graphs import Graph, Vertex
 from .record import Record
 
@@ -55,9 +55,7 @@ def export_cnf(
     constraints: ConstraintSet | None = None,
 ) -> CnfDocument:
     """Encode the constrained coloring instance; requires k >= 2 colors."""
-    spec = as_spec(spec)
-    cons = constraints or ConstraintSet()
-    _validate_constraints(g, spec, cons)
+    spec, cons = _instance(g, spec, constraints)
     k = spec.k
     if k < 2:
         raise ValueError("CNF export needs at least two color classes")

@@ -121,10 +121,7 @@ def is_valid_coloring(
     for v, c in coloring.items():
         if v not in g:
             raise ValueError(f"assignment colors unknown vertex {v!r}")
-        if type(c) is not int:
-            raise ValueError(f"color {c!r} is not an int")
-        if not (1 <= c <= k):
-            raise ValueError(f"color {c} out of range 1..{k}")
+        _check_color(c, k, "color")
     colors = tuple(coloring[v] for v in g.vertices)
     return _within_defects(g.adjacency, spec.defects, colors)
 
@@ -146,26 +143,33 @@ def _within_defects(
     return True
 
 
-def _validate_constraints(g: Graph, spec: ColoringSpec, cons: ConstraintSet) -> None:
+def _check_color(c: int, k: int, what: str) -> None:
+    """Refuse, as `what`, a c that is not an int (a bool is not one) in 1..k."""
+    if type(c) is not int:
+        raise ValueError(f"{what} {c!r} is not an int")
+    if not (1 <= c <= k):
+        raise ValueError(f"{what} {c} out of range 1..{k}")
+
+
+def _instance(g: Graph, spec, constraints) -> tuple[ColoringSpec, ConstraintSet]:
+    """The one door of `solve`, `brute_force_oracle` and `export_cnf`: their
+    spec and constraints (None for none), refused unless they fit g."""
+    spec = as_spec(spec)
+    cons = constraints or ConstraintSet()
     k = spec.k
     for v, c in cons.forced.items():
         if v not in g:
             raise ValueError(f"forced constraint on unknown vertex {v!r}")
-        if type(c) is not int:
-            raise ValueError(f"forced color {c!r} is not an int")
-        if not (1 <= c <= k):
-            raise ValueError(f"forced color {c} out of range 1..{k}")
+        _check_color(c, k, "forced color")
     for v, cs in cons.forbidden.items():
         if v not in g:
             raise ValueError(f"forbidden constraint on unknown vertex {v!r}")
         for c in cs:
-            if type(c) is not int:
-                raise ValueError(f"forbidden color {c!r} is not an int")
-            if not (1 <= c <= k):
-                raise ValueError(f"forbidden color {c} out of range 1..{k}")
+            _check_color(c, k, "forbidden color")
     for v, c in cons.forced.items():
         if c in cons.forbidden.get(v, frozenset()):
             raise ValueError(f"vertex {v!r} has its forced color forbidden")
+    return spec, cons
 
 
 def solve(
@@ -216,9 +220,7 @@ def solve(
     Exceeding the budget anywhere yields a distinct outcome, never a
     fabricated Unsat.
     """
-    spec = as_spec(spec)
-    cons = constraints or ConstraintSet()
-    _validate_constraints(g, spec, cons)
+    spec, cons = _instance(g, spec, constraints)
     if type(budget) is not int:
         raise ValueError(f"budget {budget!r} is not an int")
     if budget <= 0:
@@ -769,9 +771,7 @@ def brute_force_oracle(
     Refuses instances with k**|V| above the hard cap. `nodes` reports the
     number of assignments examined.
     """
-    spec = as_spec(spec)
-    cons = constraints or ConstraintSet()
-    _validate_constraints(g, spec, cons)
+    spec, cons = _instance(g, spec, constraints)
 
     verts = g.vertices
     n = len(verts)

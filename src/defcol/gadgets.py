@@ -3,12 +3,13 @@ amplifier built from it, the non-(1,k)-colorable composite, and the
 triangle-attachment reduction between defect levels.
 
 A generator states each embedded gadget once, as its rotation system: the
-graph is read off the pairs the rotation lists, and the Euler check
-certifies the embedding rather than assuming it. Construction order is
-fixed (copies j-major, i-minor; terminals keep their base identifiers) so
-generated graphs and their serialized forms are byte-identical across runs.
-Each copy's rotation is spliced into the shared terminals with the nesting
-that keeps the two-pole parallel composition planar.
+graph's vertices are the rotation's keys, in key order, and its edges are
+the pairs the rotation lists; the Euler check certifies the embedding
+rather than assuming it. Construction order is fixed (copies j-major,
+i-minor; terminals keep their base identifiers) so generated graphs and
+their serialized forms are byte-identical across runs. Each copy's
+rotation is spliced into the shared terminals with the nesting that keeps
+the two-pole parallel composition planar.
 """
 
 from __future__ import annotations
@@ -62,27 +63,26 @@ def _hub_size(k: int) -> tuple[int, int]:
     return 4 + 4 * copies, 2 + 7 * copies
 
 
-def _embedded(vertices: list[Vertex], rotation: dict[Vertex, list[Vertex]],
-              terminals: dict[str, Vertex]) -> GadgetResult:
-    """The gadget that `rotation` states on `vertices`, each terminal
-    labelled with its name. The graph holds the pairs the rotation lists;
-    each edge arrives from both ends, and one listed at one end only makes
-    `PlaneEmbedding` refuse the rotation."""
+def _embedded(rotation: dict[Vertex, list[Vertex]], terminals: dict[str, Vertex]) -> GadgetResult:
+    """The gadget that `rotation` states, each terminal labelled with its
+    name: its keys, in order, are the vertices. Each edge arrives from both
+    ends; one listed at one end only makes `PlaneEmbedding` refuse the
+    rotation, and a neighbor without a key makes `Graph` refuse it."""
     edges = [(v, w) for v, around in rotation.items() for w in around]
-    g = Graph(vertices, edges, {v: name for name, v in terminals.items()})
+    g = Graph(rotation, edges, {v: name for name, v in terminals.items()})
     return GadgetResult(g, terminals, PlaneEmbedding(g, rotation))
 
 
 def _link_parts(prefix: str, u_id: Vertex, v_id: Vertex):
-    """Vertices, interior rotation and pole blocks of one linked-triangle copy.
+    """Interior rotation and pole blocks of one linked-triangle copy.
 
-    Interior vertices a, b, c, d get the given prefix; u and v are supplied
-    by the caller (they are usually shared hub vertices). At u the local
-    rotation is [a, b]; at v it is [c, d].
+    Interior vertices a, b, c, d get the given prefix, in that key order;
+    u and v are supplied by the caller (they are usually shared hub
+    vertices). At u the local rotation is [a, b]; at v it is [c, d].
     """
     a, b, c, d = (prefix + name for name in "abcd")
     rotation = {a: [b, u_id], b: [u_id, a, d], c: [d, v_id], d: [b, c, v_id]}
-    return [a, b, c, d], rotation, [a, b], [c, d]
+    return rotation, [a, b], [c, d]
 
 
 def triangle_link() -> GadgetResult:
@@ -92,15 +92,15 @@ def triangle_link() -> GadgetResult:
     when that color's defect is 1: b would then see two same-colored
     neighbors. All six vertices are exposed as terminals.
     """
-    inner, rotation, at_u, at_v = _link_parts("", "u", "v")
-    vertices = ["u", *inner, "v"]
-    rotation.update(u=at_u, v=at_v)
-    return _embedded(vertices, rotation, {name: name for name in vertices})
+    inner, at_u, at_v = _link_parts("", "u", "v")
+    rotation = {"u": at_u, **inner, "v": at_v}
+    return _embedded(rotation, {name: name for name in rotation})
 
 
 def _hub_parts(k: int, prefix: str):
     """One hub block: vertex z, path x1-x2-x3, and 2k+1 linked-triangle
-    copies from z to each x_j. Returns vertices, rotation, terminals.
+    copies from z to each x_j. Returns rotation and terminals; the
+    rotation's keys start z, x1, x2, x3, and each copy's follow in order.
 
     A copy is glued at both poles, so the copies between z and an x_j are
     parallel lanes: at z their [a, b] blocks are listed in copy order, at
@@ -109,15 +109,13 @@ def _hub_parts(k: int, prefix: str):
     """
     z = prefix + "z"
     x1, x2, x3 = xs = [prefix + f"x{j}" for j in (1, 2, 3)]
-    vertices = [z, *xs]
-    rotation: dict[Vertex, list[Vertex]] = {}
+    rotation = dict.fromkeys([z, *xs])  # filled last; assigning keeps a key's place
     z_rot: list[Vertex] = []
     lanes = []
     for j, x in enumerate(xs, 1):
         lane: list[Vertex] = []
         for i in range(1, 2 * k + 2):
-            verts, copy_rot, at_u, at_v = _link_parts(f"{prefix}h{j}_{i}_", z, x)
-            vertices.extend(verts)
+            copy_rot, at_u, at_v = _link_parts(f"{prefix}h{j}_{i}_", z, x)
             rotation.update(copy_rot)
             z_rot.extend(at_u)
             lane.extend(at_v)
@@ -126,7 +124,7 @@ def _hub_parts(k: int, prefix: str):
     rotation[x1] = lanes[0] + [x2]
     rotation[x2] = [x1, x3] + lanes[1]
     rotation[x3] = lanes[2] + [x2]
-    return vertices, rotation, {"z": z, "x1": x1, "x2": x2, "x3": x3}
+    return rotation, {"z": z, "x1": x1, "x2": x2, "x3": x3}
 
 
 def hub_gadget(k: int) -> GadgetResult:
@@ -146,19 +144,13 @@ def non_1k(k: int) -> GadgetResult:
     _check_k(k)
     n, m = _hub_size(k)
     _check_size(3 * n, 3 * m + 2)
-    vertices: list[Vertex] = []
-    rotation: dict[Vertex, list[Vertex]] = {}
-    zs: list[Vertex] = []
-    for t in (1, 2, 3):
-        verts, block_rot, terms = _hub_parts(k, f"s{t}.")
-        vertices.extend(verts)
-        rotation.update(block_rot)
-        zs.append(terms["z"])
-    z1, z2, z3 = zs
+    (r1, t1), (r2, t2), (r3, t3) = (_hub_parts(k, f"s{t}.") for t in (1, 2, 3))
+    z1, z2, z3 = t1["z"], t2["z"], t3["z"]
+    rotation = {**r1, **r2, **r3}
     rotation[z1].append(z2)
     rotation[z2] = [z1, z3] + rotation[z2]
     rotation[z3].append(z2)
-    return _embedded(vertices, rotation, {"z1": z1, "z2": z2, "z3": z3})
+    return _embedded(rotation, {"z1": z1, "z2": z2, "z3": z3})
 
 
 def np_reduce(g: Graph, k: int) -> GadgetResult:
@@ -168,6 +160,11 @@ def np_reduce(g: Graph, k: int) -> GadgetResult:
     colorable with defects (0, 1); on inputs of girth >= 6 it stays free of
     4- and 5-cycles. At k = 1 nothing is attached, so the result equals the
     input.
+
+    v's pendants are named (v, i, 1) and (v, i, 2), so an input holding
+    such an id is refused: np_reduce(np_reduce(g, 2).graph, 2) raises
+    "duplicate vertex (0, 1, 1)". A loaded file names its vertices 0..n-1,
+    so `defcol reduce` of a reduced file works.
     """
     _check_k(k)
     n = g.vertex_count

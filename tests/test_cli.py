@@ -649,6 +649,43 @@ class TestClosedStdout:
         assert err == "defcol: error: output closed before it was all written\n"
 
 
+class TestMemoryExhaustion:
+    """A command that runs out of memory ends with exit 2 and one stderr line."""
+
+    @pytest.mark.parametrize("name, extra", [("solve", []), ("export_cnf", ["--emit-cnf"])],
+                             ids=["solve", "emit_cnf"])
+    def test_memory_error_exits_two(self, tmp_path, capsys, monkeypatch, name, extra):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(defcol.cli, name, exhausted)
+        argv = ["solve", "--graph", huv_file(tmp_path, capsys), "--spec", "1,1"]
+        if extra:
+            argv += [*extra, str(tmp_path / "huv.cnf")]
+        assert run(capsys, *argv) == (2, "", "defcol: error: out of memory\n")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs an enforced RLIMIT_AS")
+    def test_capped_address_space_exits_two(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        cap = 1_500_000 * 1024  # what `ulimit -v 1500000` sets
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        if hard != resource.RLIM_INFINITY and hard < cap:
+            pytest.skip("the address space is already capped lower")
+        n = 100_000
+        path = tmp_path / "path.graph"
+        path.write_text(dump_graph(make_graph(n, [(i, i + 1) for i in range(n - 1)])))
+        # 3,000 zero-defect classes: the solver's n * k counts would take 2.4 GB
+        command, env = fresh_command("solve", "--graph", str(path),
+                                     "--spec", ",".join(["0"] * 3000), "--budget", "10")
+        proc = subprocess.run(
+            command, capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "defcol: error: out of memory\n")
+
+
 class TestRepeatedCalls:
     """`main` builds its parser once per process; no call leaks into the next."""
 

@@ -211,14 +211,28 @@ class TestRotationIsTheStatement:
         link_parts = gadgets._link_parts
 
         def d_drops_v(prefix, u_id, v_id):
-            vertices, rotation, at_u, at_v = link_parts(prefix, u_id, v_id)
+            rotation, at_u, at_v = link_parts(prefix, u_id, v_id)
             rotation[prefix + "d"].remove(v_id)
-            return vertices, rotation, at_u, at_v
+            return rotation, at_u, at_v
 
         monkeypatch.setattr(gadgets, "_link_parts", d_drops_v)
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == f"rotation at {vertex!r} does not match its neighbors"
+
+    def test_vertex_order_is_the_key_order(self):
+        triangle = {"q": ["p", "r"], "p": ["r", "q"], "r": ["q", "p"]}
+        result = gadgets._embedded(triangle, {"top": "r"})
+        assert result.graph.vertices == ("q", "p", "r")
+        assert result.graph.labels == {"r": "top"}
+        assert result.terminals == {"top": "r"}
+        backwards = gadgets._embedded(dict(reversed(triangle.items())), {})
+        assert backwards.graph.vertices == ("r", "p", "q")
+
+    def test_neighbor_without_its_own_key_is_refused(self):
+        with pytest.raises(ValueError) as info:
+            gadgets._embedded({"p": ["q"]}, {})
+        assert str(info.value) == "edge endpoint 'q' is not a vertex"
 
 
 class TestNon1k:

@@ -57,6 +57,7 @@ REJECTED = [
     (lambda: solve(K3, (0, 1), budget=float("nan")), "budget nan is not an int"),
     (lambda: solve(K3, (0, 1), budget=True), "budget True is not an int"),
     (lambda: solve(K3, (0, 1), budget="5"), "budget '5' is not an int"),
+    (lambda: solve(K3, (0, 1), budget=0), "budget must be positive"),
     (lambda: ColoringSpec((1.9, 1)), "defect 1.9 is not an int"),
     (lambda: ColoringSpec(("2", "0")), "defect '2' is not an int"),
     (lambda: solve(K3, (True, 1), budget=10), "defect True is not an int"),
@@ -101,6 +102,12 @@ REJECTED = [
     (lambda: hub_gadget(0), "k must be at least 1"),
     (lambda: non_1k(0), "k must be at least 1"),
     (lambda: np_reduce(K3, 0), "k must be at least 1"),
+    # the pendants of v are (v, i, 1) and (v, i, 2), so a reduced graph's
+    # ids collide with its own reduction's
+    (
+        lambda: np_reduce(np_reduce(make_graph(2, [(0, 1)]), 2).graph, 2),
+        "duplicate vertex (0, 1, 1)",
+    ),
     (lambda: identify(K3, 9, 0), "vertex 9 not in graph"),
     (lambda: load_graph(EMPTY_DOCUMENT), "empty graph document"),
     # the structural checks of the Graph and PlaneEmbedding constructors,

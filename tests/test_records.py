@@ -20,6 +20,7 @@ from defcol import (
     Transfer,
     ValidationReport,
     analyze,
+    brute_force_oracle,
     export_cnf,
     make_graph,
     solve,
@@ -291,8 +292,22 @@ def test_constraint_set_errors(forced, forbidden, message):
         solve(GRAPH, (1, 1), cons, budget=10)
     assert str(exc.value) == message
     with pytest.raises(ValueError) as exc:
+        brute_force_oracle(GRAPH, (1, 1), cons)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
         export_cnf(GRAPH, (1, 1), cons)
     assert str(exc.value) == message
+
+
+def test_constraint_faults_are_reported_forced_then_forbidden_then_conflicts():
+    faults = [
+        ({0: 3, 1: 2}, {0: {0}, 1: {2}}, "forced color 3 out of range 1..2"),
+        ({1: 2}, {0: {0}, 1: {2}}, "forbidden color 0 out of range 1..2"),
+    ]
+    for forced, forbidden, message in faults:
+        with pytest.raises(ValueError) as exc:
+            solve(GRAPH, (1, 1), ConstraintSet(forced, forbidden), budget=10)
+        assert str(exc.value) == message
 
 
 def test_gadget_result_errors():
